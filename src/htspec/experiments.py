@@ -11,7 +11,7 @@ Replicate ``r`` of a run draws everything from
 ``derive_replicate_seed(master_seed, r)``; reports are therefore a pure
 function of their configuration, byte-identical across runs and worker
 schedules once timing fields are stripped.  The worker count is capped by
-the ``HTSPEC_WORKERS`` environment variable.
+the ``HTSPEC_WORKERS`` environment variable and by the CPU count.
 
 Exact algebraic facts (Rayleigh lower bound, norm product upper bound,
 triangle inequality of a truncation split) are asserted inline on every
@@ -113,7 +113,8 @@ def _worker_count() -> int:
 
 
 def _map_replicates(fn, count: int) -> list:
-    workers = min(_worker_count(), count)
+    # More threads than CPUs only add contention for the interpreter lock.
+    workers = min(_worker_count(), os.cpu_count() or 1, count)
     if workers <= 1:
         return [fn(r) for r in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

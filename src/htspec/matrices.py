@@ -155,8 +155,15 @@ def top_entries(m: SparseMatrix, k: int) -> tuple[list[RankedEntry], bool]:
         keep = rows <= cols
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     mags = np.abs(vals)
-    order = np.lexsort((cols, rows, -mags))
-    take = order[: min(k, order.size)]
+    if k < mags.size:
+        # Every entry of the top k is at least the k-th largest magnitude;
+        # keeping all entries at that cutoff keeps the ties it would split.
+        cutoff = np.partition(mags, mags.size - k)[mags.size - k]
+        cand = np.flatnonzero(mags >= cutoff)
+    else:
+        cand = np.arange(mags.size)
+    order = cand[np.lexsort((cols[cand], rows[cand], -mags[cand]))]
+    take = order[:k]
     entries = [
         RankedEntry(
             rank=r + 1,
@@ -170,15 +177,11 @@ def top_entries(m: SparseMatrix, k: int) -> tuple[list[RankedEntry], bool]:
     return entries, take.size < k
 
 
-def truncate_split(
-    m: SparseMatrix, level: float, recenter: bool = False
-) -> tuple[SparseMatrix, SparseMatrix]:
+def truncate_split(m: SparseMatrix, level: float) -> tuple[SparseMatrix, SparseMatrix]:
     """Split into ``(m_hat, m_prime)``: entries with ``|value| <= level`` and the rest.
 
     Both parts keep the parent shape; their supports are disjoint and their sum
-    restores ``m`` exactly.  ``recenter`` subtracts the law's truncated first
-    moment from the kept part; the symmetric laws sampled here have truncated
-    mean zero, so the subtraction is a no-op and the flag only documents intent.
+    restores ``m`` exactly.
     """
     if not (math.isfinite(level) and level > 0):
         raise ValueError(f"truncation level must be finite and positive: {level!r}")
@@ -190,8 +193,6 @@ def truncate_split(
             (m.values[keep], (rows[keep], m.indices[keep])), shape=(m.rows, m.cols)
         )
         parts.append(SparseMatrix.from_scipy(coo.tocsr(), symmetric=m.symmetric))
-    if recenter:
-        pass  # truncated mean of a symmetric law is identically zero
     return parts[0], parts[1]
 
 

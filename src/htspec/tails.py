@@ -17,7 +17,11 @@ mask and its values from per-row streams derived with :func:`seeding.mix64`
 from the ensemble seed, so a sampled matrix is a pure function of its
 :class:`EnsembleSpec`: independent of traversal order, reproducible across
 processes, and the nonzero pattern does not change when only the entry law
-changes.
+changes.  The sampler positions each row's streams with ``PCG64.advance`` to
+skip the draws no kept entry uses, builds no mask stream when the spec fixes
+the mask, and inverts the quantile once over the whole matrix; the stream
+layout, and so every sampled matrix, is the same as when every stream is drawn
+in full, row by row.
 """
 
 from __future__ import annotations
@@ -305,28 +309,47 @@ class EnsembleSpec:
         return int(math.floor(self.rho * self.n + 0.5))
 
 
-def _mask_columns(sparsity: SparsitySpec, i: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    if sparsity.kind == BERNOULLI:
-        prob = float(n) ** (sparsity.mu - 1.0)
-        return np.nonzero(rng.random(n) < prob)[0]
+def _row_columns(sparsity: SparsitySpec, i: int, n: int, lo: int, mask_root: int) -> np.ndarray:
+    """Ascending mask columns of row ``i`` at or above column ``lo``.
+
+    A Bernoulli row's mask stream holds one uniform per column, so the
+    ``lo`` uniforms before column ``lo`` are skipped with ``PCG64.advance``.
+    Masks fixed by the spec (band, or Bernoulli with ``prob >= 1``, which keeps
+    every column because uniforms lie in [0, 1)) build no stream.
+    """
     if sparsity.kind == BAND:
         w = sparsity.halfwidth
-        return np.arange(max(0, i - w), min(n, i + w + 1))
+        return np.arange(max(lo, i - w), min(n, i + w + 1))
+    prob = float(n) ** (sparsity.mu - 1.0)
+    if sparsity.kind == BERNOULLI and prob >= 1.0:
+        return np.arange(lo, n)
+    bitgen = np.random.PCG64(mix64(mask_root, i))
+    if sparsity.kind == BERNOULLI:
+        bitgen.advance(lo)
+        return lo + np.nonzero(np.random.Generator(bitgen).random(n - lo) < prob)[0]
     if sparsity.count > n:
         raise ValueError(f"fixed_count count = {sparsity.count} exceeds n = {n}")
-    cols = rng.choice(n, size=sparsity.count, replace=False)
+    cols = np.random.Generator(bitgen).choice(n, size=sparsity.count, replace=False)
     cols.sort()
-    return cols
+    return cols[cols >= lo]
 
 
 def sample_matrix(spec: EnsembleSpec):
     """Sample the sparse matrix described by ``spec``.
 
     Row ``i`` derives a mask stream and a value stream from the ensemble seed via
-    ``mix64``; the value stream always emits ``n`` magnitude uniforms then
-    ``n`` sign uniforms, and only the masked positions are kept.  The entry at
-    ``(i, j)`` therefore depends only on ``(seed, i, j)``, and the mask only on
-    ``(seed, sparsity, i, j)``.
+    ``mix64``.  A Bernoulli mask stream holds one uniform per column; a
+    fixed_count row draws its columns with ``Generator.choice``.  The value
+    stream holds ``n`` magnitude uniforms then ``n`` sign uniforms, and only the
+    masked positions are kept.  The entry at ``(i, j)`` therefore depends only
+    on ``(seed, i, j)``, and the mask only on ``(seed, sparsity, i, j)``.
+
+    Uniforms that no kept entry uses are not generated: each float64 draw takes
+    one 64-bit PCG64 output, so ``PCG64.advance`` skips the columns below a
+    hermitian row's diagonal in its mask stream and, in each half of the value
+    stream, the columns outside the row's first and last kept column.  Masks
+    fixed by the spec build no stream, nor do rows with no entries.  The result
+    is bit-identical to drawing every stream in full.
     """
     # Imported here: matrices.py needs no sampling machinery.
     from .matrices import SparseMatrix
@@ -337,42 +360,50 @@ def sample_matrix(spec: EnsembleSpec):
     mask_root = mix64(spec.seed, _TAG_MASK)
     value_root = mix64(spec.seed, _TAG_VALUE)
 
-    row_idx: list[np.ndarray] = []
-    col_idx: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    counts = np.zeros(p, dtype=np.int64)
+    col_parts = [np.empty(0, dtype=np.int64)]
+    mag_parts = [np.empty(0)]
+    sign_parts = [np.empty(0)]
     for i in range(p):
-        mask_rng = np.random.Generator(np.random.PCG64(mix64(mask_root, i)))
-        cols = _mask_columns(sparsity, i, n, mask_rng)
-        if hermitian:
-            cols = cols[cols >= i]
-        value_rng = np.random.Generator(np.random.PCG64(mix64(value_root, i)))
-        u_mag = value_rng.random(n)
-        u_sign = value_rng.random(n)
+        cols = _row_columns(sparsity, i, n, i if hermitian else 0, mask_root)
         if cols.size == 0:
             continue
-        mags = _quantile_raw(law, 1.0 - u_mag[cols]) / _sigma(law)
-        signs = np.where(u_sign[cols] < 0.5, 1.0, -1.0)
-        row_idx.append(np.full(cols.size, i, dtype=np.int64))
-        col_idx.append(cols.astype(np.int64))
-        vals.append(signs * mags)
+        first = int(cols[0])
+        span = int(cols[-1]) - first + 1
+        bitgen = np.random.PCG64(mix64(value_root, i))
+        value_rng = np.random.Generator(bitgen)
+        bitgen.advance(first)
+        u_mag = value_rng.random(span)
+        bitgen.advance(n - span)
+        u_sign = value_rng.random(span)
+        counts[i] = cols.size
+        col_parts.append(cols)
+        offsets = cols - first
+        mag_parts.append(u_mag[offsets])
+        sign_parts.append(u_sign[offsets])
 
-    if row_idx:
-        rows = np.concatenate(row_idx)
-        cols = np.concatenate(col_idx)
-        data = np.concatenate(vals)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        data = np.empty(0, dtype=np.float64)
+    cols = np.concatenate(col_parts)
+    u_mag, u_sign = np.concatenate(mag_parts), np.concatenate(sign_parts)
+    # Free the per-row pieces before the quantile's and the CSR's temporaries.
+    del col_parts, mag_parts, sign_parts
+    # _quantile_raw is elementwise, so one call over all rows equals one per row.
+    data = np.where(u_sign < 0.5, 1.0, -1.0) * (_quantile_raw(law, 1.0 - u_mag) / _sigma(law))
+    del u_mag, u_sign
 
-    if hermitian:
-        off = rows != cols
-        mirror_rows = cols[off]
-        mirror_cols = rows[off]
-        rows = np.concatenate([rows, mirror_rows])
-        cols = np.concatenate([cols, mirror_cols])
-        data = np.concatenate([data, data[off]])
+    if not hermitian:
+        # Rows come out in order with ascending columns: already CSR.
+        indptr = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return SparseMatrix(rows=p, cols=n, indptr=indptr, indices=cols, values=data)
+
+    rows = np.repeat(np.arange(p, dtype=np.int64), counts)
+    off = rows != cols
+    mirror_rows = cols[off]
+    mirror_cols = rows[off]
+    rows = np.concatenate([rows, mirror_rows])
+    cols = np.concatenate([cols, mirror_cols])
+    data = np.concatenate([data, data[off]])
 
     csr = coo_matrix((data, (rows, cols)), shape=(p, n)).tocsr()
     csr.sort_indices()
-    return SparseMatrix.from_scipy(csr, symmetric=hermitian)
+    return SparseMatrix.from_scipy(csr, symmetric=True)

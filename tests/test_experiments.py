@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from htspec.experiments import (
     sweep_to_csv,
     truncation_window,
     WORKERS_ENV,
+    _map_replicates,
     _worker_count,
 )
 from htspec.limits import EDGE, POISSONIAN, RegimeParams
@@ -61,6 +65,19 @@ def test_worker_count_env(monkeypatch):
         _worker_count()
     monkeypatch.delenv(WORKERS_ENV)
     assert _worker_count() >= 1
+
+
+def test_replicate_pool_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "64")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def replicate(r):
+        time.sleep(0.01)  # long enough for a larger pool to spread the work
+        return r, threading.get_ident()
+
+    out = _map_replicates(replicate, 8)
+    assert [r for r, _ in out] == list(range(8))
+    assert len({ident for _, ident in out}) <= 2
 
 
 def test_reports_identical_across_worker_counts(monkeypatch):

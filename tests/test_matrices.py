@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
 
 from htspec.matrices import (
@@ -154,6 +157,36 @@ def test_top_entries_symmetric_upper_only():
     m = SparseMatrix.from_dense(a, symmetric=True)
     entries, _ = top_entries(m, 4)
     assert [(e.i, e.j) for e in entries] == [(0, 1), (1, 1), (0, 0)]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small matrices with integer-valued entries in [-3, 3], so that equal
+    magnitudes are common; symmetric ones about half the time."""
+    symmetric = draw(st.booleans())
+    p = draw(st.integers(1, 12))
+    n = p if symmetric else draw(st.integers(1, 12))
+    a = draw(arrays(np.float64, (p, n), elements=st.integers(-3, 3).map(float)))
+    if symmetric:
+        a = np.triu(a) + np.triu(a, 1).T
+    return SparseMatrix.from_dense(a, symmetric=symmetric)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices(), st.integers(1, 160))
+def test_top_entries_matches_full_sort(m, k):
+    rows, cols, vals = m.row_index_of_entries(), m.indices, m.values
+    if m.symmetric:
+        keep = rows <= cols
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, rows, -np.abs(vals)))[:k]
+    want = [
+        (r + 1, int(rows[x]), int(cols[x]), float(abs(vals[x])), 0.0 if vals[x] > 0 else math.pi)
+        for r, x in enumerate(order)
+    ]
+    entries, truncated = top_entries(m, k)
+    assert [(e.rank, e.i, e.j, e.magnitude, e.theta) for e in entries] == want
+    assert truncated == (len(want) < k)
 
 
 def test_truncate_split_exact():

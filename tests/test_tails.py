@@ -2,13 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.sparse import coo_matrix
 
+from htspec.matrices import SparseMatrix
+from htspec.seeding import mix64
 from htspec.tails import (
+    _TAG_MASK,
+    _TAG_VALUE,
     SV_LOG_POWER,
     EnsembleSpec,
     SparsitySpec,
     TailLaw,
+    _quantile_raw,
+    _sigma,
     quantile_abs,
     sample_entries,
     sample_entry,
@@ -317,3 +326,123 @@ def test_fixed_count_sparsity():
     for i in range(m.rows):
         row = m.indices[m.indptr[i]:m.indptr[i + 1]]
         assert np.all(np.diff(row) > 0)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the sampler as a plain per-row loop that draws every stream in full
+
+
+def _reference_mask_columns(sparsity, i, n, rng):
+    if sparsity.kind == "bernoulli":
+        prob = float(n) ** (sparsity.mu - 1.0)
+        return np.nonzero(rng.random(n) < prob)[0]
+    if sparsity.kind == "band":
+        w = sparsity.halfwidth
+        return np.arange(max(0, i - w), min(n, i + w + 1))
+    cols = rng.choice(n, size=sparsity.count, replace=False)
+    cols.sort()
+    return cols
+
+
+def _reference_sample_matrix(spec):
+    law, sparsity = spec.law, spec.sparsity
+    n, p = spec.n, spec.p
+    hermitian = spec.shape == "hermitian"
+    mask_root = mix64(spec.seed, _TAG_MASK)
+    value_root = mix64(spec.seed, _TAG_VALUE)
+    row_idx, col_idx, vals = [], [], []
+    for i in range(p):
+        mask_rng = np.random.Generator(np.random.PCG64(mix64(mask_root, i)))
+        cols = _reference_mask_columns(sparsity, i, n, mask_rng)
+        if hermitian:
+            cols = cols[cols >= i]
+        value_rng = np.random.Generator(np.random.PCG64(mix64(value_root, i)))
+        u_mag = value_rng.random(n)
+        u_sign = value_rng.random(n)
+        if cols.size == 0:
+            continue
+        mags = _quantile_raw(law, 1.0 - u_mag[cols]) / _sigma(law)
+        signs = np.where(u_sign[cols] < 0.5, 1.0, -1.0)
+        row_idx.append(np.full(cols.size, i, dtype=np.int64))
+        col_idx.append(cols.astype(np.int64))
+        vals.append(signs * mags)
+    if row_idx:
+        rows = np.concatenate(row_idx)
+        cols = np.concatenate(col_idx)
+        data = np.concatenate(vals)
+    else:
+        rows = np.empty(0, dtype=np.int64)
+        cols = np.empty(0, dtype=np.int64)
+        data = np.empty(0, dtype=np.float64)
+    if hermitian:
+        off = rows != cols
+        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+        data = np.concatenate([data, data[off]])
+    csr = coo_matrix((data, (rows, cols)), shape=(p, n)).tocsr()
+    csr.sort_indices()
+    return SparseMatrix.from_scipy(csr, symmetric=hermitian)
+
+
+ORACLE_LAWS = [
+    TailLaw(alpha=1.0),
+    TailLaw(alpha=0.7, sv_c=0.5),  # atom at the support edge
+    TailLaw(alpha=1.5, sv_kind=SV_LOG_POWER, sv_c=0.5, sv_beta=1.0),
+    TailLaw(alpha=3.0, sv_kind=SV_LOG_POWER, sv_c=2.0, sv_beta=2.0, standardize=True),
+    TailLaw(alpha=4.0, standardize=True),
+]
+
+
+@st.composite
+def ensemble_specs(draw, shape=None):
+    shape = shape or draw(st.sampled_from(["rectangular", "hermitian"]))
+    n = draw(st.integers(1, 40))
+    rho = 1.0
+    if shape == "rectangular":
+        rho = draw(st.integers(1, n)) / n
+    mu = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    kind = draw(st.sampled_from(["bernoulli", "band", "fixed_count"]))
+    if kind == "bernoulli":
+        sparsity = SparsitySpec.bernoulli(mu)
+    elif kind == "band":
+        sparsity = SparsitySpec.band(draw(st.integers(0, 5)), mu)
+    else:
+        sparsity = SparsitySpec.fixed_count(draw(st.integers(1, n)), mu)
+    law = draw(st.sampled_from(ORACLE_LAWS))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return EnsembleSpec(shape=shape, n=n, law=law, sparsity=sparsity, seed=seed, rho=rho)
+
+
+def _spec(shape, n, sparsity, seed=3, law=ORACLE_LAWS[0], rho=1.0):
+    return EnsembleSpec(shape=shape, n=n, law=law, sparsity=sparsity, seed=seed, rho=rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ensemble_specs())
+@example(_spec("rectangular", 1, SparsitySpec.bernoulli(0.3)))
+@example(_spec("hermitian", 1, SparsitySpec.fixed_count(1)))
+@example(_spec("hermitian", 1, SparsitySpec.band(0), law=ORACLE_LAWS[3]))
+# mu = 0 keeps each position with probability 1/n: many rows are empty
+@example(_spec("rectangular", 30, SparsitySpec.bernoulli(0.0), law=ORACLE_LAWS[2]))
+@example(_spec("hermitian", 30, SparsitySpec.bernoulli(0.0), law=ORACLE_LAWS[4]))
+@example(_spec("hermitian", 40, SparsitySpec.bernoulli(1.0), law=ORACLE_LAWS[1], seed=2**64 - 1))
+def test_sample_matrix_matches_reference_loop(spec):
+    got = sample_matrix(spec)
+    want = _reference_sample_matrix(spec)
+    assert (got.rows, got.cols, got.symmetric) == (want.rows, want.cols, want.symmetric)
+    for name in ("indptr", "indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensemble_specs(shape="rectangular"))
+def test_sample_matrix_rows_are_a_prefix(spec):
+    # Row i's streams depend only on (seed, i), so fewer rows are a prefix.
+    part = sample_matrix(spec)
+    full = sample_matrix(_spec("rectangular", spec.n, spec.sparsity, spec.seed, spec.law))
+    p = spec.p
+    end = full.indptr[p]
+    np.testing.assert_array_equal(part.indptr, full.indptr[: p + 1])
+    np.testing.assert_array_equal(part.indices, full.indices[:end])
+    np.testing.assert_array_equal(part.values, full.values[:end])
