@@ -75,8 +75,15 @@ class SparseMatrix:
         if self.symmetric:
             if self.rows != self.cols:
                 raise ValueError("symmetric matrices must be square")
-            diff = self._csr - self._csr.T
-            if diff.nnz and np.max(np.abs(diff.data)) != 0.0:
+            # Both sides are canonical CSR (sorted, no duplicates, no zeros),
+            # so A == A^T exactly when their three arrays are equal.
+            t = self._csr.T.tocsr()
+            t.sort_indices()
+            if not (
+                np.array_equal(t.indptr, self.indptr)
+                and np.array_equal(t.indices, self.indices)
+                and np.array_equal(t.data, self.values)
+            ):
                 raise ValueError("symmetric flag set but stored entries are not symmetric")
 
     @classmethod

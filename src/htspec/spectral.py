@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .localization import is_localized
-from .matrices import SparseMatrix, gram_matvec, matvec, top_entries
+from .matrices import RankedEntry, SparseMatrix, gram_matvec, matvec, top_entries
 
 DENSE_DIM_LIMIT = 2048
 
@@ -376,11 +376,16 @@ def residual_vector(m: SparseMatrix, l: int = 1) -> tuple[np.ndarray, float]:
     entries, truncated = top_entries(m, l)
     if truncated:
         raise ValueError(f"matrix stores fewer than {l} entries")
-    ent = entries[l - 1]
+    return row_residual(m, entries[l - 1])
+
+
+def row_residual(m: SparseMatrix, entry: RankedEntry) -> tuple[np.ndarray, float]:
+    """``r = M M^T e_i - |m_ij|^2 e_i`` and its norm for an already ranked
+    entry at ``(i, j)``."""
     e = np.zeros(m.rows)
-    e[ent.i] = 1.0
+    e[entry.i] = 1.0
     r = gram_matvec(m, e)
-    r[ent.i] -= ent.magnitude ** 2
+    r[entry.i] -= entry.magnitude ** 2
     return r, float(np.linalg.norm(r))
 
 

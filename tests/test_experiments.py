@@ -3,10 +3,12 @@ import math
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from htspec import experiments
 from htspec.experiments import (
     ExperimentConfig,
     derive_replicate_seed,
@@ -25,6 +27,7 @@ from htspec.experiments import (
 )
 from htspec.limits import EDGE, POISSONIAN, RegimeParams
 from htspec.seeding import mix64
+from htspec.spectral import top_eigs
 from htspec.tails import SparsitySpec, TailLaw
 
 VERDICT_KEYS = {"criterion", "pass", "observed", "bound"}
@@ -80,13 +83,39 @@ def test_replicate_pool_capped_at_cpu_count(monkeypatch):
     assert len({ident for _, ident in out}) <= 2
 
 
+RUNS = {
+    "poisson": lambda: run_poisson_experiment(poisson_cfg()),
+    "edge": lambda: run_edge_experiment(edge_cfg()),
+    "hermitian-poissonian": lambda: run_hermitian_experiment(poisson_cfg(shape="hermitian")),
+    "hermitian-edge": lambda: run_hermitian_experiment(edge_cfg(shape="hermitian")),
+    "truncation": lambda: run_truncation_experiment(edge_cfg(n=60), gamma=0.2, gamma_prime=0.5),
+    "sweep": lambda: run_phase_sweep((1.0, 8.0), (1.0,), n=40, replicates=3, master_seed=3),
+}
+
+
+def payload(out) -> str:
+    if isinstance(out, dict):
+        return json.dumps(out, sort_keys=True)
+    return out.to_json(include_timing=False)
+
+
 def test_reports_identical_across_worker_counts(monkeypatch):
-    cfg = poisson_cfg()
-    payloads = []
-    for workers in ("1", "4"):
-        monkeypatch.setenv(WORKERS_ENV, workers)
-        payloads.append(run_poisson_experiment(cfg).to_json(include_timing=False))
-    assert payloads[0] == payloads[1]
+    for name, run in RUNS.items():
+        payloads = []
+        for workers in ("1", "4"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            payloads.append(payload(run()))
+        assert payloads[0] == payloads[1], name
+
+
+@pytest.mark.parametrize("run", ["poisson", "hermitian-poissonian", "truncation", "sweep"])
+def test_nonconverged_solve_aborts_the_run(monkeypatch, run):
+    def stalled(*args, **kwargs):
+        return replace(top_eigs(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(experiments, "top_eigs", stalled)
+    with pytest.raises(RuntimeError, match="did not reach tol"):
+        RUNS[run]()
 
 
 def test_rerun_is_bit_identical():

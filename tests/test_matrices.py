@@ -80,6 +80,9 @@ def test_validation_rejects_bad_structure():
         )
     with pytest.raises(ValueError):  # symmetric flag on an asymmetric matrix
         SparseMatrix.from_dense(np.array([[0.0, 1.0], [2.0, 0.0]]), symmetric=True)
+    with pytest.raises(ValueError):  # symmetric flag, (0, 1) stored but (1, 0) not
+        cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        SparseMatrix.from_dense(cycle, symmetric=True)
     with pytest.raises(ValueError):  # indptr length mismatch
         SparseMatrix(
             rows=2, cols=2,
@@ -187,6 +190,30 @@ def test_top_entries_matches_full_sort(m, k):
     entries, truncated = top_entries(m, k)
     assert [(e.rank, e.i, e.j, e.magnitude, e.theta) for e in entries] == want
     assert truncated == (len(want) < k)
+
+
+@st.composite
+def square_matrices(draw):
+    """Small square matrices over a few values, often symmetric and sometimes
+    symmetric but for one entry, which may add or drop a stored position."""
+    n = draw(st.integers(1, 6))
+    values = st.sampled_from([0.0, 1.0, -1.0, 2.5])
+    a = draw(arrays(np.float64, (n, n), elements=values))
+    if draw(st.booleans()):
+        a = np.triu(a) + np.triu(a, 1).T
+        if draw(st.booleans()):
+            a[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(values)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_symmetric_flag_agrees_with_dense_transpose(a):
+    if np.array_equal(a, a.T):
+        np.testing.assert_array_equal(SparseMatrix.from_dense(a, symmetric=True).to_dense(), a)
+    else:
+        with pytest.raises(ValueError, match="not symmetric"):
+            SparseMatrix.from_dense(a, symmetric=True)
 
 
 def test_truncate_split_exact():
