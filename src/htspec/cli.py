@@ -8,18 +8,22 @@ Exit codes: 0 when the command succeeds and every verdict passes, 2 when a
 report contains a failing verdict, 1 for usage or configuration errors.
 
 Every option can also live in a config file (``--config``, INI format, one
-section per subcommand); command-line flags win over the file, and unknown
-keys in a section are rejected rather than ignored.
+section per subcommand).  A key is a flag name or its dest, with hyphens or
+underscores (``master-seed`` or ``master_seed``; ``sv`` or ``sv_kind``; ``in``
+or ``infile``); its value is converted and checked as the flag's would be.
+Flags win over the file, and unknown keys in a section are rejected.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import sys
+from dataclasses import replace
 
 from .limits import EDGE, classify_regime
-from .matrices import load_matrix_csv, norms, save_matrix_csv, top_entries
+from .matrices import SparseMatrix, load_matrix_csv, norms, save_matrix_csv, top_entries
 from .spectral import SOLVER_DENSE, SOLVER_LANCZOS, eig_dense_symmetric, top_eigs
 from .tails import (
     BAND,
@@ -56,6 +60,37 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
 
+    def apply_config(self, path: str, section: str) -> None:
+        """Install the keys of ``[section]`` in the INI file ``path`` as this
+        parser's defaults, converted and checked as the flags they name, so
+        flags parsed afterwards still win."""
+        cp = configparser.ConfigParser()
+        if not cp.read(path):
+            raise UsageError(f"config file not found or unreadable: {path}")
+        if not cp.has_section(section):
+            return
+        actions = {}
+        for action in self._actions:
+            if action.dest != "help":
+                for name in (action.dest, action.option_strings[0].lstrip("-")):
+                    actions[name.replace("-", "_")] = action
+        defaults = {}
+        for key, raw in cp.items(section):
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                raise UsageError(f"unknown key {key!r} in config section [{section}]")
+            try:
+                if isinstance(action, argparse.BooleanOptionalAction):
+                    value = _bool(raw)
+                else:
+                    value = action.type(raw) if action.type else raw
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"must be one of {tuple(action.choices)}: {raw!r}")
+            except ValueError as exc:
+                raise UsageError(f"bad value for {key!r} in [{section}]: {exc}") from exc
+            defaults[action.dest] = value
+        self.set_defaults(**defaults)
+
 
 def _bool(raw: str) -> bool:
     value = raw.strip().lower()
@@ -91,135 +126,32 @@ def _grid(raw: str) -> tuple[float, ...]:
     return _floats(raw)
 
 
-def _choice(*allowed: str):
-    def convert(raw: str) -> str:
-        value = raw.strip()
-        if value not in allowed:
-            raise ValueError(f"must be one of {allowed}: {raw!r}")
-        return value
-
-    return convert
-
-
-_ENSEMBLE_TYPES = {
-    "alpha": float,
-    "mu": float,
-    "n": int,
-    "rho": float,
-    "shape": _choice(RECTANGULAR, HERMITIAN),
-    "sv_kind": _choice(SV_CONSTANT, SV_LOG_POWER),
-    "sv_c": float,
-    "sv_beta": float,
-    "support_min": float,
-    "standardize": _bool,
-    "sparsity": _choice(BERNOULLI, BAND, FIXED_COUNT),
-    "halfwidth": int,
-    "count": int,
-}
-
-_ENSEMBLE_DEFAULTS = {
-    "rho": 1.0,
-    "shape": RECTANGULAR,
-    "sv_kind": SV_CONSTANT,
-    "sv_c": 1.0,
-    "sv_beta": 0.0,
-    "support_min": 1.0,
-    "sparsity": BERNOULLI,
-}
-
-_COMMAND_TYPES = {
-    "sample": {**_ENSEMBLE_TYPES, "seed": int, "out": str},
-    "spectrum": {
-        **_ENSEMBLE_TYPES,
-        "seed": int,
-        "k": int,
-        "tol": float,
-        "solver": _choice(SOLVER_LANCZOS, SOLVER_DENSE),
-        "solver_seed": int,
-        "infile": str,
-        "symmetric": _bool,
-        "out": str,
-    },
-    "experiment": {
-        **{k: v for k, v in _ENSEMBLE_TYPES.items() if k != "shape"},
-        "kind": _choice(*EXPERIMENT_KINDS),
-        "replicates": int,
-        "top_k": int,
-        "thresholds": _floats,
-        "master_seed": int,
-        "esd_bins": int,
-        "solver_tol": float,
-        "gamma": float,
-        "gamma_prime": float,
-        "kappa": float,
-        "report": str,
-        "csv": str,
-        "timing": _bool,
-    },
-    "sweep": {
-        "alphas": _grid,
-        "mus": _grid,
-        "n": int,
-        "rho": float,
-        "replicates": int,
-        "top_k": int,
-        "master_seed": int,
-        "out": str,
-    },
-    "verify": {
-        "seed": int,
-        "instances": int,
-        "lemma_instances": int,
-        "report": str,
-    },
-}
-
-_COMMAND_DEFAULTS = {
-    "sample": {**_ENSEMBLE_DEFAULTS, "standardize": False, "seed": 0},
-    "spectrum": {
-        **_ENSEMBLE_DEFAULTS,
-        "standardize": False,
-        "seed": 0,
-        "k": 5,
-        "tol": 1e-8,
-        "solver": SOLVER_LANCZOS,
-        "solver_seed": 0,
-        "symmetric": False,
-    },
-    "experiment": {
-        **{k: v for k, v in _ENSEMBLE_DEFAULTS.items() if k != "shape"},
-        "replicates": 20,
-        "top_k": 5,
-        "thresholds": (0.5, 1.0, 2.0),
-        "master_seed": 0,
-        "esd_bins": 64,
-        "solver_tol": 1e-8,
-        "kappa": 1.5,
-        "timing": True,
-    },
-    "sweep": {"rho": 1.0, "replicates": 5, "top_k": 3, "master_seed": 0},
-    "verify": {"seed": 20240801, "instances": 500, "lemma_instances": 100},
-}
-
-
-def _add_ensemble_args(sub: argparse.ArgumentParser, with_shape: bool = True) -> None:
+def _add_ensemble_args(sub: argparse.ArgumentParser, single_matrix: bool = True) -> None:
+    """Law and mask options; a single-matrix command also takes a shape and a seed."""
     sub.add_argument("--alpha", type=float, help="tail exponent")
     sub.add_argument("--mu", type=float, help="sparsity exponent; mask density n^(mu-1)")
     sub.add_argument("--n", type=int, help="column dimension")
-    sub.add_argument("--rho", type=float, help="aspect ratio p/n (default 1)")
-    if with_shape:
-        sub.add_argument("--shape", choices=(RECTANGULAR, HERMITIAN))
-    sub.add_argument("--sv", dest="sv_kind", choices=(SV_CONSTANT, SV_LOG_POWER))
-    sub.add_argument("--sv-c", dest="sv_c", type=float)
-    sub.add_argument("--sv-beta", dest="sv_beta", type=float)
-    sub.add_argument("--support-min", dest="support_min", type=float)
-    sub.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=None)
-    sub.add_argument("--sparsity", choices=(BERNOULLI, BAND, FIXED_COUNT))
+    sub.add_argument("--rho", type=float, default=1.0, help="aspect ratio p/n")
+    if single_matrix:
+        sub.add_argument("--shape", choices=(RECTANGULAR, HERMITIAN), default=RECTANGULAR)
+        sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument(
+        "--sv", dest="sv_kind", choices=(SV_CONSTANT, SV_LOG_POWER), default=SV_CONSTANT
+    )
+    sub.add_argument("--sv-c", type=float, default=1.0)
+    sub.add_argument("--sv-beta", type=float, default=0.0)
+    sub.add_argument("--support-min", type=float, default=1.0)
+    sub.add_argument(
+        "--standardize", action=argparse.BooleanOptionalAction,
+        help="standardize the law (default: off; an experiment chooses by kind)",
+    )
+    sub.add_argument("--sparsity", choices=(BERNOULLI, BAND, FIXED_COUNT), default=BERNOULLI)
     sub.add_argument("--halfwidth", type=int, help="band sparsity half width")
     sub.add_argument("--count", type=int, help="fixed-count sparsity entries per row")
 
 
 def build_parser() -> _Parser:
+    """The ``htspec`` parser; ``parser.commands`` maps each subcommand to its parser."""
     parser = _Parser(
         prog="htspec",
         description="Sparse heavy-tailed random matrices: sampling, spectra, and phase-transition experiments.",
@@ -229,39 +161,42 @@ def build_parser() -> _Parser:
 
     sample = subs.add_parser("sample", help="draw one matrix and summarize it")
     _add_ensemble_args(sample)
-    sample.add_argument("--seed", type=int)
     sample.add_argument("--out", help="write the matrix as i,j,value CSV")
 
     spectrum = subs.add_parser("spectrum", help="top eigenvalues of one matrix")
     _add_ensemble_args(spectrum)
-    spectrum.add_argument("--seed", type=int)
-    spectrum.add_argument("--k", type=int)
-    spectrum.add_argument("--tol", type=float)
-    spectrum.add_argument("--solver", choices=(SOLVER_LANCZOS, SOLVER_DENSE))
-    spectrum.add_argument("--solver-seed", dest="solver_seed", type=int)
+    spectrum.add_argument("--k", type=int, default=5)
+    spectrum.add_argument("--tol", type=float, default=1e-8)
+    spectrum.add_argument(
+        "--solver", choices=(SOLVER_LANCZOS, SOLVER_DENSE), default=SOLVER_LANCZOS
+    )
+    spectrum.add_argument("--solver-seed", type=int, default=0)
     spectrum.add_argument("--in", dest="infile", help="load matrix from CSV instead of sampling")
     spectrum.add_argument(
-        "--symmetric", action=argparse.BooleanOptionalAction, default=None,
+        "--symmetric", action=argparse.BooleanOptionalAction, default=False,
         help="treat the loaded CSV as symmetric",
     )
     spectrum.add_argument("--out", help="write the result as JSON")
 
     experiment = subs.add_parser("experiment", help="replicated run with verdicts")
     experiment.add_argument("--kind", choices=EXPERIMENT_KINDS)
-    _add_ensemble_args(experiment, with_shape=False)
-    experiment.add_argument("--replicates", type=int)
-    experiment.add_argument("--top-k", dest="top_k", type=int)
-    experiment.add_argument("--thresholds", type=_floats, help="comma-separated count thresholds")
-    experiment.add_argument("--master-seed", dest="master_seed", type=int)
-    experiment.add_argument("--esd-bins", dest="esd_bins", type=int)
-    experiment.add_argument("--solver-tol", dest="solver_tol", type=float)
+    _add_ensemble_args(experiment, single_matrix=False)
+    experiment.add_argument("--replicates", type=int, default=20)
+    experiment.add_argument("--top-k", type=int, default=5)
+    experiment.add_argument(
+        "--thresholds", type=_floats, default=(0.5, 1.0, 2.0),
+        help="comma-separated count thresholds",
+    )
+    experiment.add_argument("--master-seed", type=int, default=0)
+    experiment.add_argument("--esd-bins", type=int, default=64)
+    experiment.add_argument("--solver-tol", type=float, default=1e-8)
     experiment.add_argument("--gamma", type=float, help="truncation level exponent")
-    experiment.add_argument("--gamma-prime", dest="gamma_prime", type=float)
-    experiment.add_argument("--kappa", type=float)
+    experiment.add_argument("--gamma-prime", type=float)
+    experiment.add_argument("--kappa", type=float, default=1.5)
     experiment.add_argument("--report", help="write the full report as JSON")
     experiment.add_argument("--csv", help="write the per-replicate summary as CSV")
     experiment.add_argument(
-        "--timing", action=argparse.BooleanOptionalAction, default=None,
+        "--timing", action=argparse.BooleanOptionalAction, default=True,
         help="include timing fields in the JSON report",
     )
 
@@ -269,69 +204,53 @@ def build_parser() -> _Parser:
     sweep.add_argument("--alphas", type=_grid, help="lo:hi:step or comma list")
     sweep.add_argument("--mus", type=_grid, help="lo:hi:step or comma list")
     sweep.add_argument("--n", type=int)
-    sweep.add_argument("--rho", type=float)
-    sweep.add_argument("--replicates", type=int)
-    sweep.add_argument("--top-k", dest="top_k", type=int)
-    sweep.add_argument("--master-seed", dest="master_seed", type=int)
+    sweep.add_argument("--rho", type=float, default=1.0)
+    sweep.add_argument("--replicates", type=int, default=5)
+    sweep.add_argument("--master-seed", type=int, default=0)
     sweep.add_argument("--out", help="write the grid as CSV")
 
     verify = subs.add_parser("verify", help="run the exact-invariant suite")
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--instances", type=int)
-    verify.add_argument("--lemma-instances", dest="lemma_instances", type=int)
+    verify.add_argument("--seed", type=int, default=20240801)
+    verify.add_argument("--instances", type=int, default=500)
+    verify.add_argument("--lemma-instances", type=int, default=100)
     verify.add_argument("--report", help="write the check table as JSON")
 
+    parser.commands = dict(subs.choices)
     return parser
 
 
-def _apply_config(args: argparse.Namespace, command: str) -> None:
-    types = _COMMAND_TYPES[command]
-    if args.config is not None:
-        cp = configparser.ConfigParser()
-        read = cp.read(args.config)
-        if not read:
-            raise UsageError(f"config file not found or unreadable: {args.config}")
-        if cp.has_section(command):
-            for key, raw in cp.items(command):
-                dest = key.replace("-", "_")
-                if dest == "sv":
-                    dest = "sv_kind"
-                if dest == "in":
-                    dest = "infile"
-                if dest not in types:
-                    raise UsageError(f"unknown key {key!r} in config section [{command}]")
-                if getattr(args, dest, None) is None:
-                    try:
-                        setattr(args, dest, types[dest](raw))
-                    except ValueError as exc:
-                        raise UsageError(f"bad value for {key!r} in [{command}]: {exc}") from exc
-    for dest, value in _COMMAND_DEFAULTS[command].items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-
-
 def _require(args: argparse.Namespace, names: tuple[str, ...]) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
         raise UsageError(f"missing required options: {flags}")
 
 
-def _law(args: argparse.Namespace) -> TailLaw:
-    return TailLaw(
+def _sample(args: argparse.Namespace) -> SparseMatrix:
+    """Draw the matrix that the ensemble flags of ``sample``/``spectrum`` describe."""
+    _require(args, ("alpha", "mu", "n"))
+    law = TailLaw(
         alpha=args.alpha,
         sv_kind=args.sv_kind,
         sv_c=args.sv_c,
         sv_beta=args.sv_beta,
         support_min=args.support_min,
-        standardize=args.standardize,
+        standardize=bool(args.standardize),
     )
-
-
-def _sparsity(args: argparse.Namespace) -> SparsitySpec:
-    return SparsitySpec(
+    sparsity = SparsitySpec(
         kind=args.sparsity, mu=args.mu, halfwidth=args.halfwidth, count=args.count
     )
+    spec = EnsembleSpec(
+        shape=args.shape, n=args.n, law=law, sparsity=sparsity, seed=args.seed, rho=args.rho
+    )
+    return sample_matrix(spec)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 def _fmt(value) -> str:
@@ -343,14 +262,7 @@ def _fmt(value) -> str:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    _require(args, ("alpha", "mu", "n"))
-    if args.standardize is None:
-        args.standardize = False
-    spec = EnsembleSpec(
-        shape=args.shape, n=args.n, law=_law(args), sparsity=_sparsity(args),
-        seed=args.seed, rho=args.rho,
-    )
-    m = sample_matrix(spec)
+    m = _sample(args)
     inf_n, one_n = norms(m)
     entries, _ = top_entries(m, 1)
     top = entries[0].magnitude if entries else 0.0
@@ -366,31 +278,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.infile is not None:
-        m = load_matrix_csv(args.infile, symmetric=bool(args.symmetric))
+        m = load_matrix_csv(args.infile, symmetric=args.symmetric)
     else:
-        _require(args, ("alpha", "mu", "n"))
-        if args.standardize is None:
-            args.standardize = False
-        spec = EnsembleSpec(
-            shape=args.shape, n=args.n, law=_law(args), sparsity=_sparsity(args),
-            seed=args.seed, rho=args.rho,
-        )
-        m = sample_matrix(spec)
+        m = _sample(args)
     if args.solver == SOLVER_DENSE:
         dense = m.to_dense()
         target = dense if m.symmetric else dense @ dense.T
         result = eig_dense_symmetric(target, dense_limit=max(target.shape[0], 1))
         k = min(args.k, result.eigenvalues.size)
-        import numpy as np
-
-        result = type(result)(
+        result = replace(
+            result,
             eigenvalues=result.eigenvalues[:k],
             eigenvectors=result.eigenvectors[:, :k],
-            solver=result.solver,
             residual_norms=result.residual_norms[:k],
-            iterations=result.iterations,
-            restarts=result.restarts,
-            converged=result.converged,
         )
     else:
         result = top_eigs(m, args.k, tol=args.tol, seed=args.solver_seed)
@@ -399,12 +299,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if not result.converged:
         print("warning: solver did not reach the requested tolerance", file=sys.stderr)
     if args.out:
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, result.to_json_dict())
     return 0
 
 
@@ -417,7 +312,7 @@ def _print_verdicts(verdicts) -> None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    _require(args, ("kind", "alpha", "mu", "n", "replicates"))
+    _require(args, ("kind", "alpha", "mu", "n"))
     if args.standardize is None:
         regime = classify_regime(args.alpha, args.mu)
         args.standardize = args.kind in ("edge", "truncation") or (
@@ -472,7 +367,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         n=args.n,
         rho=args.rho,
         replicates=args.replicates,
-        top_k=args.top_k,
         master_seed=args.master_seed,
     )
     for cell in sweep["cells"]:
@@ -500,13 +394,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     print(f"elapsed {result['elapsed_s']:.1f}s")
     if args.report:
-        import json
-
-        payload = {k: v for k, v in result.items() if k != "elapsed_s"}
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.report}")
+        _write_json(args.report, {k: v for k, v in result.items() if k != "elapsed_s"})
     return 0 if result["pass"] else 2
 
 
@@ -525,15 +413,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (sample, spectrum, experiment, sweep, verify)")
-        _apply_config(args, args.command)
+        if args.config is not None:
+            parser.commands[args.command].apply_config(args.config, args.command)
+            args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

@@ -32,7 +32,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -362,17 +362,27 @@ def _entry_at(m: SparseMatrix, i: int, j: int) -> float:
     return 0.0
 
 
-def _assert_gram_bounds(lam1: float, m: SparseMatrix, tol: float, top) -> tuple[float, float]:
-    """Exact sandwich for the top Gram eigenvalue; ``tol`` covers solver error.
-    The sandwich reads whole rows, so ``top`` goes unused."""
+def _gram_sandwich(lam1: float, m: SparseMatrix, tol: float):
+    """Exact sandwich for the top Gram eigenvalue: max row square sum <=
+    lambda1 <= |m|_inf |m|_1.  ``tol`` covers solver error (0 for the dense
+    solver).  Returns ``(lower, inf_n, one_n, below_lower, above_upper)``."""
     inf_n, one_n = norms(m)
     lower = _max_row_square_sum(m)
     slack = 1e-9 * max(1.0, lower) + 10.0 * tol * max(1.0, abs(lam1))
-    if lam1 < lower - slack:
+    below_lower = lam1 < lower - slack
+    above_upper = lam1 > inf_n * one_n * (1.0 + 1e-9) + 1e-12
+    return lower, inf_n, one_n, below_lower, above_upper
+
+
+def _assert_gram_bounds(lam1: float, m: SparseMatrix, tol: float, top) -> tuple[float, float]:
+    """Raise unless the Gram sandwich holds.  The sandwich reads whole rows,
+    so ``top`` goes unused."""
+    lower, inf_n, one_n, below_lower, above_upper = _gram_sandwich(lam1, m, tol)
+    if below_lower:
         raise RuntimeError(
             f"Rayleigh lower bound violated: lambda1 = {lam1} < max row square sum {lower}"
         )
-    if lam1 > inf_n * one_n * (1.0 + 1e-9) + 1e-12:
+    if above_upper:
         raise RuntimeError(
             f"norm product upper bound violated: lambda1 = {lam1} > {inf_n * one_n}"
         )
@@ -937,7 +947,6 @@ def run_phase_sweep(
     n: int,
     rho: float = 1.0,
     replicates: int = 5,
-    top_k: int = 3,
     master_seed: int = 0,
 ) -> dict:
     """Medians of the two competing normalizations over an (alpha, mu) grid.
@@ -958,12 +967,10 @@ def run_phase_sweep(
                 n=n,
                 rho=rho,
                 replicates=replicates,
-                top_k=top_k,
+                top_k=1,
                 master_seed=mix64(master_seed, ia * 10007 + im),
                 standardize=alpha > 2,
             )
-            # A cell reads only the top pair, whatever top_k the grid validates.
-            cfg = replace(cfg, top_k=1)
             kind = _covariance_kind(cfg.regime, _basis_fields)
             records = _map_replicates(lambda r: _replicate(cfg, kind, r), replicates)
             paired = [rec for rec in records if rec.entries]
@@ -1030,7 +1037,7 @@ def run_invariant_suite(
     """Exercise every exact checker on randomized small ensembles.
 
     Counts violations of: the Rayleigh lower bound and norm-product upper
-    bound for the top Gram eigenvalue (1e-9 relative slack, dense solver);
+    bound for the top Gram eigenvalue (``_gram_sandwich``, dense solver);
     the three interlacing chains; the residual-ball enclosure for random probe
     vectors (with the eigenvector bound whenever its hypotheses hold); and the
     principal-submatrix bound for localized eigenvectors on brute-forced
@@ -1054,13 +1061,9 @@ def run_invariant_suite(
         dense = m.to_dense()
         sigma = dense @ dense.T
         result = eig_dense_symmetric(sigma)
-        lam1 = float(result.eigenvalues[0])
-        lower = _max_row_square_sum(m)
-        inf_n, one_n = norms(m)
-        if lam1 < lower * (1.0 - 1e-9) - 1e-12:
-            counts["rayleigh_lower_bound"] += 1
-        if lam1 > inf_n * one_n * (1.0 + 1e-9) + 1e-12:
-            counts["norm_product_upper_bound"] += 1
+        *_, below_lower, above_upper = _gram_sandwich(float(result.eigenvalues[0]), m, 0.0)
+        counts["rayleigh_lower_bound"] += int(below_lower)
+        counts["norm_product_upper_bound"] += int(above_upper)
 
         s = mix64(seed, 10 ** 7 + idx)
         p, n = dense.shape

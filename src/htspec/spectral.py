@@ -66,6 +66,8 @@ class SpectralResult:
             "residuals": [float(x) for x in self.residual_norms],
             "solver": self.solver,
             "iterations": int(self.iterations),
+            "restarts": int(self.restarts),
+            "converged": bool(self.converged),
         }
 
 
@@ -304,14 +306,6 @@ class PerturbationCheck:
     vector_bound: dict | None = None
 
 
-def _apply_matrix(a, v: np.ndarray) -> np.ndarray:
-    if isinstance(a, SparseMatrix):
-        if a.symmetric:
-            return matvec(a, v)
-        return gram_matvec(a, v)
-    return np.asarray(a, dtype=np.float64) @ v
-
-
 def perturbation_check(a, v: np.ndarray, spectrum: SpectralResult) -> PerturbationCheck:
     """Evaluate the enclosure above for unit ``v`` against a complete spectrum.
 
@@ -324,7 +318,11 @@ def perturbation_check(a, v: np.ndarray, spectrum: SpectralResult) -> Perturbati
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"probe vector must be unit norm: |v| = {nrm}")
-    av = _apply_matrix(a, v)
+    if isinstance(a, SparseMatrix):
+        apply_op, _ = _operator(a)
+        av = apply_op(v)
+    else:
+        av = np.asarray(a, dtype=np.float64) @ v
     if av.shape != v.shape:
         raise ValueError("probe vector length does not match the operator")
     dim = v.size

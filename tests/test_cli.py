@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from htspec import cli
 from htspec.cli import UsageError, _grid, build_parser, main
 
 
@@ -139,6 +140,8 @@ def test_spectrum_json_output(tmp_path, capsys):
     assert payload["solver"] == "lanczos"
     assert len(payload["residuals"]) == 2
     assert payload["iterations"] >= 2
+    assert payload["restarts"] == 0
+    assert payload["converged"] is True
 
 
 def test_spectrum_k_too_large(capsys):
@@ -265,16 +268,29 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_config_bad_value_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, "[sample]\nalpha = fast\nmu = 1.0\nn = 30\n")
-    code, _, err = run(capsys, ["--config", cfg, "sample"])
-    assert code == 1
-    assert "alpha" in err
+    for key, text in (
+        ("alpha", "[sample]\nalpha = fast\nmu = 1.0\nn = 30\n"),
+        ("shape", "[sample]\nalpha = 1.0\nmu = 1.0\nn = 30\nshape = triangular\n"),
+    ):
+        cfg = write_config(tmp_path, text)
+        code, _, err = run(capsys, ["--config", cfg, "sample"])
+        assert code == 1
+        assert f"bad value for {key!r} in [sample]" in err
 
 
 def test_config_missing_file(capsys):
     code, _, err = run(capsys, ["--config", "/nonexistent.ini", "sample"])
     assert code == 1
     assert "config" in err
+
+
+def test_config_malformed_file(tmp_path, capsys):
+    # no section header, a repeated key, a bad interpolation
+    for text in ("alpha = 1\n", "[sample]\nn = 1\nn = 2\n", "[sample]\nout = 5%.csv\n"):
+        cfg = write_config(tmp_path, text)
+        code, _, err = run(capsys, ["--config", cfg, "sample"])
+        assert code == 1
+        assert err.startswith("error:")
 
 
 def test_config_key_aliases(tmp_path, capsys):
@@ -291,6 +307,73 @@ def test_config_key_aliases(tmp_path, capsys):
     code, out, _ = run(capsys, ["--config", cfg, "spectrum"])
     assert code == 0
     assert sum("residual=" in l for l in out.split("\n")) == 2
+
+
+# Each case gives the same values once as flags and once as an INI section;
+# the INI keys mix flag names and dests, hyphens and underscores.
+FLAGS_AND_INI = {
+    "sample": (
+        ["--alpha", "1.5", "--mu", "0.5", "--n", "30", "--shape", "hermitian",
+         "--sv", "log_power", "--sv-beta", "1", "--standardize", "--seed", "7"],
+        "alpha = 1.5\nmu = 0.5\nn = 30\nshape = hermitian\nsv = log_power\n"
+        "sv_beta = 1\nstandardize = yes\nseed = 7\n",
+    ),
+    "spectrum-in": (
+        ["--in", "m.csv", "--k", "2", "--solver", "dense", "--solver-seed", "3",
+         "--no-symmetric", "--out", "s.json"],
+        "in = m.csv\nk = 2\nsolver = dense\nsolver-seed = 3\nsymmetric = no\n"
+        "out = s.json\n",
+    ),
+    "spectrum-dests": (
+        ["--in", "m.csv", "--sv", "log_power", "--sv-c", "2", "--symmetric"],
+        "infile = m.csv\nsv_kind = log_power\nsv-c = 2\nsymmetric = on\n",
+    ),
+    "experiment": (
+        ["--kind", "poisson", "--alpha", "1", "--mu", "1", "--n", "40",
+         "--replicates", "3", "--thresholds", "0.5,2", "--master-seed", "9",
+         "--no-timing", "--sparsity", "band", "--halfwidth", "2", "--top-k", "2"],
+        "kind = poisson\nalpha = 1\nmu = 1\nn = 40\nreplicates = 3\n"
+        "thresholds = 0.5, 2\nmaster-seed = 9\ntiming = no\nsparsity = band\n"
+        "halfwidth = 2\ntop_k = 2\n",
+    ),
+    "experiment-truncation": (
+        ["--kind", "truncation", "--alpha", "8", "--mu", "1", "--n", "50",
+         "--gamma", "0.2", "--gamma-prime", "0.5", "--standardize"],
+        "kind = truncation\nalpha = 8\nmu = 1\nn = 50\ngamma = 0.2\n"
+        "gamma_prime = 0.5\nstandardize = true\n",
+    ),
+    "sweep": (
+        ["--alphas", "1:2:0.5", "--mus", "0.5,1", "--n", "30", "--replicates", "2",
+         "--master-seed", "4", "--out", "sweep.csv"],
+        "alphas = 1:2:0.5\nmus = 0.5, 1\nn = 30\nreplicates = 2\n"
+        "master_seed = 4\nout = sweep.csv\n",
+    ),
+    "verify": (
+        ["--seed", "3", "--instances", "5", "--lemma-instances", "2",
+         "--report", "v.json"],
+        "seed = 3\ninstances = 5\nlemma_instances = 2\nreport = v.json\n",
+    ),
+}
+
+
+def received(monkeypatch, argv):
+    """The Namespace the subcommand is dispatched with, ``config`` dropped."""
+    seen = []
+    for command in list(cli._DISPATCH):
+        monkeypatch.setitem(cli._DISPATCH, command, lambda args: seen.append(args) or 0)
+    assert main(argv) == 0
+    (args,) = seen
+    return {k: v for k, v in vars(args).items() if k != "config"}
+
+
+@pytest.mark.parametrize("case", sorted(FLAGS_AND_INI))
+def test_config_section_parses_like_flags(case, tmp_path, monkeypatch):
+    command = case.split("-")[0]
+    flags, section = FLAGS_AND_INI[case]
+    cfg = write_config(tmp_path, f"[{command}]\n{section}")
+    from_flags = received(monkeypatch, [command, *flags])
+    from_file = received(monkeypatch, ["--config", cfg, command])
+    assert from_file == from_flags
 
 
 def test_config_section_scoped_to_command(tmp_path, capsys):

@@ -261,6 +261,24 @@ def test_perturbation_residual_ball():
     assert chk.zeta == pytest.approx(float(v @ a @ v), rel=1e-12)
 
 
+def test_perturbation_sparse_operator():
+    # a symmetric SparseMatrix acts as itself, a rectangular one as its Gram matrix
+    sym = random_symmetric(10, 30)
+    rect = rng_for(11).standard_normal((20, 30))
+    for sparse, dense in (
+        (SparseMatrix.from_dense(sym, symmetric=True), sym),
+        (SparseMatrix.from_dense(rect), rect @ rect.T),
+    ):
+        spectrum = eig_dense_symmetric(dense)
+        v = rng_for(12).standard_normal(dense.shape[0])
+        v /= np.linalg.norm(v)
+        chk = perturbation_check(sparse, v, spectrum)
+        ref = perturbation_check(dense, v, spectrum)
+        assert chk.holds_a
+        assert chk.zeta == pytest.approx(ref.zeta, rel=1e-12)
+        assert chk.epsilon == pytest.approx(ref.epsilon, rel=1e-9)
+
+
 def test_perturbation_near_eigenvector_gap_bound():
     a = np.diag([4.0, 2.0, 1.0, 0.5])
     spectrum = eig_dense_symmetric(a)
