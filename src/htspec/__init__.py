@@ -24,18 +24,15 @@ from .tails import (
     SparsitySpec,
     TailLaw,
     sample_entries,
-    sample_entry,
     sample_matrix,
 )
 from .matrices import (
     RankedEntry,
     SparseMatrix,
-    filtered_row_sums,
     gram_matvec,
     load_matrix_csv,
     matvec,
     norms,
-    row_nonzero_counts,
     save_matrix_csv,
     top_entries,
     truncate_split,
@@ -57,7 +54,6 @@ from .limits import (
     pp_mean_count,
 )
 from .localization import (
-    LocalizationProfile,
     distance_to_basis_vector,
     distance_to_pair_vector,
     is_localized,
@@ -74,18 +70,13 @@ from .spectral import (
     localization_bound_check,
     perturbation_check,
     principal_subradius,
-    residual_vector,
     top_eigs,
 )
 from .stats import (
     Ecdf,
-    EsdHistogram,
-    concentration_check,
     esd,
     ks_statistic,
-    large_entry_collision_scan,
     poisson_count_test,
-    test_record,
 )
 from .experiments import (
     ExperimentConfig,
@@ -109,7 +100,6 @@ __all__ = [
     "TailLaw",
     "SparsitySpec",
     "EnsembleSpec",
-    "sample_entry",
     "sample_entries",
     "sample_matrix",
     "SV_CONSTANT",
@@ -126,8 +116,6 @@ __all__ = [
     "norms",
     "top_entries",
     "truncate_split",
-    "filtered_row_sums",
-    "row_nonzero_counts",
     "save_matrix_csv",
     "load_matrix_csv",
     "RegimeParams",
@@ -144,7 +132,6 @@ __all__ = [
     "CRITICAL",
     "COVARIANCE",
     "HERMITIAN_KIND",
-    "LocalizationProfile",
     "localization_profile",
     "is_localized",
     "distance_to_basis_vector",
@@ -155,7 +142,6 @@ __all__ = [
     "top_eigs",
     "check_interlacing",
     "perturbation_check",
-    "residual_vector",
     "principal_subradius",
     "localization_bound_check",
     "INTERLACE_HERMITIAN_MINOR",
@@ -163,12 +149,8 @@ __all__ = [
     "INTERLACE_COL_DELETION",
     "Ecdf",
     "ks_statistic",
-    "EsdHistogram",
     "esd",
     "poisson_count_test",
-    "concentration_check",
-    "large_entry_collision_scan",
-    "test_record",
     "ExperimentConfig",
     "ReplicateRecord",
     "ExperimentReport",

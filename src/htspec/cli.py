@@ -11,7 +11,8 @@ Every option can also live in a config file (``--config``, INI format, one
 section per subcommand).  A key is a flag name or its dest, with hyphens or
 underscores (``master-seed`` or ``master_seed``; ``sv`` or ``sv_kind``; ``in``
 or ``infile``); its value is converted and checked as the flag's would be.
-Flags win over the file, and unknown keys in a section are rejected.
+Flags win over the file; unknown keys in a section and a non-empty
+``[DEFAULT]`` section (whose keys would reach every subcommand) are rejected.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class _Parser(argparse.ArgumentParser):
         cp = configparser.ConfigParser()
         if not cp.read(path):
             raise UsageError(f"config file not found or unreadable: {path}")
+        if cp.defaults():
+            raise UsageError(f"[DEFAULT] in {path}: its keys would reach every section")
         if not cp.has_section(section):
             return
         actions = {}
@@ -166,11 +169,11 @@ def build_parser() -> _Parser:
     spectrum = subs.add_parser("spectrum", help="top eigenvalues of one matrix")
     _add_ensemble_args(spectrum)
     spectrum.add_argument("--k", type=int, default=5)
-    spectrum.add_argument("--tol", type=float, default=1e-8)
+    spectrum.add_argument("--tol", type=float, default=1e-8, help="Lanczos only")
     spectrum.add_argument(
         "--solver", choices=(SOLVER_LANCZOS, SOLVER_DENSE), default=SOLVER_LANCZOS
     )
-    spectrum.add_argument("--solver-seed", type=int, default=0)
+    spectrum.add_argument("--solver-seed", type=int, default=0, help="Lanczos only")
     spectrum.add_argument("--in", dest="infile", help="load matrix from CSV instead of sampling")
     spectrum.add_argument(
         "--symmetric", action=argparse.BooleanOptionalAction, default=False,
@@ -188,7 +191,6 @@ def build_parser() -> _Parser:
         help="comma-separated count thresholds",
     )
     experiment.add_argument("--master-seed", type=int, default=0)
-    experiment.add_argument("--esd-bins", type=int, default=64)
     experiment.add_argument("--solver-tol", type=float, default=1e-8)
     experiment.add_argument("--gamma", type=float, help="truncation level exponent")
     experiment.add_argument("--gamma-prime", type=float)
@@ -336,7 +338,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         sparsity_kind=args.sparsity,
         halfwidth=args.halfwidth,
         count=args.count,
-        esd_bins=args.esd_bins,
         solver_tol=args.solver_tol,
     )
     if args.kind == "poisson":

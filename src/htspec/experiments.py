@@ -140,7 +140,6 @@ class ExperimentConfig:
     top_k: int = 5
     thresholds: tuple[float, ...] = (0.5, 1.0, 2.0)
     master_seed: int = 0
-    esd_bins: int = 64
     solver_tol: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -164,8 +163,6 @@ class ExperimentConfig:
             )
         if not self.thresholds or any(not (math.isfinite(t) and t > 0) for t in self.thresholds):
             raise ValueError("thresholds must be positive and nonempty")
-        if not isinstance(self.esd_bins, int) or self.esd_bins < 1:
-            raise ValueError(f"esd_bins must be a positive integer: {self.esd_bins!r}")
         if not (math.isfinite(self.solver_tol) and self.solver_tol >= 1e-12):
             raise ValueError(f"solver_tol must be >= 1e-12: {self.solver_tol!r}")
 
@@ -189,7 +186,6 @@ def make_config(
     sparsity_kind: str = BERNOULLI,
     halfwidth: int | None = None,
     count: int | None = None,
-    esd_bins: int = 64,
     solver_tol: float = 1e-8,
 ) -> ExperimentConfig:
     """Convenience constructor wiring the law, mask, and regime together."""
@@ -212,7 +208,6 @@ def make_config(
         top_k=top_k,
         thresholds=tuple(float(t) for t in thresholds),
         master_seed=master_seed,
-        esd_bins=esd_bins,
         solver_tol=solver_tol,
     )
 
@@ -241,7 +236,6 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
         "top_k": cfg.top_k,
         "thresholds": list(cfg.thresholds),
         "master_seed": cfg.master_seed,
-        "esd_bins": cfg.esd_bins,
         "solver_tol": cfg.solver_tol,
     }
 
@@ -572,11 +566,11 @@ def _replicate(cfg: ExperimentConfig, kind: _Kind, r: int) -> ReplicateRecord:
     )
 
 
-def _support_mass(profile, beta: float) -> float:
+def _support_mass(curve: np.ndarray, beta: float) -> float:
     """Largest squared mass on ``floor(dim ** beta)`` coordinates (at least one)."""
-    dim = profile.mass_curve.size
+    dim = curve.size
     size = max(1, min(dim, int(math.floor(dim ** beta + 1e-9))))
-    return float(profile.mass_curve[size - 1])
+    return float(curve[size - 1])
 
 
 def _basis_fields(cfg: ExperimentConfig, spec, ranked) -> dict:
@@ -591,12 +585,12 @@ def _mass_fields(cfg: ExperimentConfig, spec, ranked) -> dict:
     spectrum, the KS distance of its ESD to Marchenko-Pastur."""
     reg = cfg.regime
     v1 = spec.eigenvectors[:, 0]
-    profile = localization_profile(v1)
-    mass = {f"{beta:.1f}": _support_mass(profile, beta) for beta in LOC_BETAS}
+    curve = localization_profile(v1)
+    mass = {f"{beta:.1f}": _support_mass(curve, beta) for beta in LOC_BETAS}
     ks_mp = None
     if spec.solver == SOLVER_DENSE:
         scale = float(reg.n) ** reg.mu
-        ks_mp = esd(spec.eigenvalues, scale=scale, bins=cfg.esd_bins, rho=reg.rho).ks_mp
+        ks_mp = esd(spec.eigenvalues, scale=scale, rho=reg.rho)
     return {
         "localization": {
             "mass": mass,

@@ -55,13 +55,6 @@ class RegimeParams:
     def p(self) -> int:
         return int(math.floor(self.rho * self.n + 0.5))
 
-    @property
-    def threshold(self) -> float:
-        """Critical tail index ``2 (1 + 1/mu)``; infinite when ``mu == 0``."""
-        if self.mu == 0.0:
-            return math.inf
-        return 2.0 * (1.0 + 1.0 / self.mu)
-
 
 def classify_regime(alpha: float, mu: float) -> str:
     """Classify ``(alpha, mu)`` as ``poissonian``, ``edge``, or ``critical``.

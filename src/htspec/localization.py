@@ -11,7 +11,6 @@ ambiguity of computed eigenvectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,37 +27,11 @@ def _check_unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class LocalizationProfile:
-    """Cumulative mass over the best supports of every size.
-
-    ``mass_curve[L-1]`` is the largest squared mass any ``L`` coordinates can
-    carry; ``coordinate_order`` lists coordinates by decreasing squared mass,
-    so its first ``L`` entries attain ``mass_curve[L-1]``.  ``ipr`` is the
-    fourth-moment participation diagnostic ``sum v_j^4`` (not tied to any
-    limit statement; larger means more localized).
-    """
-
-    mass_curve: np.ndarray
-    coordinate_order: np.ndarray
-    ipr: float
-
-    def best_support(self, L: int) -> np.ndarray:
-        if not 1 <= L <= self.coordinate_order.size:
-            raise ValueError(f"L must lie in [1, {self.coordinate_order.size}]: {L}")
-        return np.sort(self.coordinate_order[:L])
-
-
-def localization_profile(v: np.ndarray) -> LocalizationProfile:
+def localization_profile(v: np.ndarray) -> np.ndarray:
+    """Mass curve of unit ``v``: entry ``L-1`` is the largest squared mass any
+    ``L`` coordinates carry, the sum of the ``L`` largest squared coordinates."""
     v = _check_unit(v)
-    sq = v * v
-    order = np.argsort(-sq, kind="stable")
-    curve = np.cumsum(sq[order])
-    return LocalizationProfile(
-        mass_curve=curve,
-        coordinate_order=order,
-        ipr=float(np.sum(sq * sq)),
-    )
+    return np.cumsum(np.sort(v * v)[::-1])
 
 
 def is_localized(v: np.ndarray, L: int, eta: float) -> bool:

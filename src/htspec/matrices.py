@@ -4,7 +4,7 @@ The storage contract is plain CSR (``indptr``, ``indices``, ``values``) with
 strictly increasing column indices inside each row and finite nonzero values.
 scipy.sparse supplies the mechanical part (products, format conversion); the
 operations here are the ones with domain meaning: ranked extreme entries,
-operator norms, truncation splits, and nonzero-count scans.
+operator norms and truncation splits.
 
 Symmetric matrices store both triangles so that products are ordinary CSR
 products, but ranked entries and the CSV format use only ``i <= j``.
@@ -201,31 +201,6 @@ def truncate_split(m: SparseMatrix, level: float) -> tuple[SparseMatrix, SparseM
         )
         parts.append(SparseMatrix.from_scipy(coo.tocsr(), symmetric=m.symmetric))
     return parts[0], parts[1]
-
-
-def filtered_row_sums(
-    m: SparseMatrix, lo: float, hi: float, axis: str = "rows"
-) -> np.ndarray:
-    """Per-row (or per-column) sums of ``|value|`` restricted to ``lo < |value| <= hi``."""
-    if not (0.0 <= lo < hi):
-        raise ValueError(f"need 0 <= lo < hi, got lo={lo!r}, hi={hi!r}")
-    if axis not in ("rows", "cols"):
-        raise ValueError(f"axis must be 'rows' or 'cols': {axis!r}")
-    absvals = np.abs(m.values)
-    band = (absvals > lo) & (absvals <= hi)
-    weights = np.where(band, absvals, 0.0)
-    if axis == "cols":
-        return np.bincount(m.indices, weights=weights, minlength=m.cols)
-    return np.bincount(m.row_index_of_entries(), weights=weights, minlength=m.rows)
-
-
-def row_nonzero_counts(m: SparseMatrix) -> tuple[int, int]:
-    """Return ``(L, L_col)``: the max nonzero count over rows and over columns."""
-    if m.nnz == 0:
-        return 0, 0
-    row_max = int(np.diff(m.indptr).max())
-    col_max = int(np.bincount(m.indices, minlength=m.cols).max())
-    return row_max, col_max
 
 
 def save_matrix_csv(m: SparseMatrix, path) -> None:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .localization import is_localized
-from .matrices import RankedEntry, SparseMatrix, gram_matvec, matvec, top_entries
+from .matrices import RankedEntry, SparseMatrix, gram_matvec, matvec
 
 DENSE_DIM_LIMIT = 2048
 
@@ -35,11 +35,6 @@ SOLVER_LANCZOS = "lanczos"
 INTERLACE_HERMITIAN_MINOR = "hermitian_minor"
 INTERLACE_ROW_DELETION = "row_deletion"
 INTERLACE_COL_DELETION = "col_deletion"
-
-SUBRADIUS_EXACT = "exact"
-SUBRADIUS_RANDOM = "random_sample"
-
-_SUBRADIUS_ENUM_CAP = 10 ** 6
 
 
 @dataclass
@@ -123,7 +118,6 @@ def top_eigs(
     k: int,
     tol: float = 1e-10,
     seed: int = 0,
-    max_iter: int | None = None,
 ) -> SpectralResult:
     """Top ``k`` eigenvalues (largest, descending) by Lanczos with full
     reorthogonalization.
@@ -133,9 +127,14 @@ def top_eigs(
     drawn from ``PCG64(seed)``, making the run deterministic.  Convergence
     requires every reported pair to satisfy
     ``|A v - lambda v| <= tol * max(1, |lambda|)``; if the iteration cap
-    (default ``10 k + 400``, never beyond the dimension) is reached first, the
-    best estimates are returned with ``converged = False``.  Exhausting the
-    Krylov space triggers a restart with a fresh orthogonalized direction.
+    (``10 k + 400``, never beyond the dimension) is reached first, the
+    best estimates are returned with ``converged = False``.  A pass that runs
+    out of Krylov space (``w`` is rounding noise, or all its Ritz pairs have
+    converged) is followed by another in the rest of the space, started from
+    a fresh orthogonalized direction when ``w`` is noise, until the newest
+    pass's top value has converged below the k-th; so every copy of a
+    repeated eigenvalue is found once a space runs out, while a pass that
+    converges before that reports each value once.
     """
     apply_op, dim = _operator(m)
     if not isinstance(k, int) or k < 1:
@@ -144,8 +143,7 @@ def top_eigs(
         raise ValueError(f"k = {k} exceeds min(dim, 50) = {min(dim, 50)}")
     if not (math.isfinite(tol) and tol >= 1e-12):
         raise ValueError(f"tol must be >= 1e-12: {tol!r}")
-    cap = max_iter if max_iter is not None else 10 * k + 400
-    cap = min(max(cap, k + 2), dim)
+    cap = min(10 * k + 400, dim)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     basis = np.empty((dim, min(cap, 64)), dtype=np.float64)
@@ -163,6 +161,7 @@ def top_eigs(
     alphas: list[float] = []
     betas: list[float] = []
     restarts = 0
+    start = 0  # first step of the current Krylov pass
     converged = False
     j = 0
     while j < cap:
@@ -177,12 +176,36 @@ def top_eigs(
         for _ in range(2):
             w = w - basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
         beta = float(np.linalg.norm(w))
+        # The current pass has run out of Krylov space when w is rounding
+        # noise, or, to within tol, when all its Ritz pairs have converged;
+        # the latter needs beta <= tol sqrt(pass length) max(1, |T|), so below
+        # k steps the Ritz pairs are only computed when beta passes that test.
+        scale = max(1.0, max(abs(a) for a in alphas))
+        exhausted = beta <= 1e-13 * scale
+        closed = exhausted
+        bound = tol * math.sqrt(j + 1 - start) * (scale + 2 * max(betas[start:], default=0.0))
+        if j + 1 >= k or beta <= bound:
+            pass_theta, pass_y = eigh_tridiagonal(np.array(alphas[start:]), np.array(betas[start:j]))
+            pass_ok = beta * np.abs(pass_y[-1]) <= tol * np.maximum(1.0, np.abs(pass_theta))
+            closed = exhausted or bool(np.all(pass_ok))
 
         if j + 1 >= k:
-            theta, y = eigh_tridiagonal(np.array(alphas), np.array(betas[:j]))
+            if start:
+                theta, y = eigh_tridiagonal(np.array(alphas), np.array(betas[:j]))
+            else:
+                theta, y = pass_theta, pass_y
             top = np.argsort(-theta, kind="stable")[:k]
             bounds = beta * np.abs(y[-1, top])
-            if np.all(bounds <= tol * np.maximum(1.0, np.abs(theta[top]))):
+            done = bool(np.all(bounds <= tol * np.maximum(1.0, np.abs(theta[top]))))
+            if done and (closed or start):
+                # A closed pass says nothing of the rest of the space, which
+                # may hold further copies of the values found, and the next
+                # pass reaches its largest value first: stop only once that
+                # value has converged and does not exceed the k-th.
+                i = int(np.argmax(pass_theta))
+                kth = float(theta[top[-1]])
+                done = bool(pass_ok[i]) and pass_theta[i] <= kth + tol * max(1.0, abs(kth))
+            if done:
                 converged = True
                 j += 1
                 break
@@ -191,8 +214,8 @@ def top_eigs(
             j += 1
             break
 
-        if beta <= 1e-13 * max(1.0, max(abs(a) for a in alphas)):
-            # Krylov space exhausted: restart in the orthogonal complement.
+        if exhausted:
+            # Restart in the orthogonal complement.
             fresh = rng.standard_normal(dim)
             for _ in range(2):
                 fresh = fresh - basis[:, : j + 1] @ (basis[:, : j + 1].T @ fresh)
@@ -208,6 +231,8 @@ def top_eigs(
             betas.append(beta)
             ensure_capacity(j + 1)
             basis[:, j + 1] = w / beta
+        if closed:
+            start = j + 1
         j += 1
 
     steps = len(alphas)
@@ -364,19 +389,6 @@ def perturbation_check(a, v: np.ndarray, spectrum: SpectralResult) -> Perturbati
     )
 
 
-def residual_vector(m: SparseMatrix, l: int = 1) -> tuple[np.ndarray, float]:
-    """Gram-matrix residual at the row of the ``l``-th largest entry.
-
-    With ``(i, j)`` the position of the ``l``-th entry, returns
-    ``r = M M^T e_i - |m_ij|^2 e_i`` and its norm.  The ``i``-th coordinate of
-    ``r`` equals the sum of squares of the other entries in row ``i``.
-    """
-    entries, truncated = top_entries(m, l)
-    if truncated:
-        raise ValueError(f"matrix stores fewer than {l} entries")
-    return row_residual(m, entries[l - 1])
-
-
 def row_residual(m: SparseMatrix, entry: RankedEntry) -> tuple[np.ndarray, float]:
     """``r = M M^T e_i - |m_ij|^2 e_i`` and its norm for an already ranked
     entry at ``(i, j)``."""
@@ -387,41 +399,22 @@ def row_residual(m: SparseMatrix, entry: RankedEntry) -> tuple[np.ndarray, float
     return r, float(np.linalg.norm(r))
 
 
-def principal_subradius(
-    a: np.ndarray,
-    L: int,
-    mode: str = SUBRADIUS_EXACT,
-    trials: int = 1000,
-    seed: int = 0,
-) -> float:
-    """Largest spectral radius over principal ``L x L`` submatrices.
-
-    ``exact`` enumerates all supports (refused beyond 1e6 of them);
-    ``random_sample`` draws ``trials`` supports and gives a lower bound.
-    """
+def principal_subradius(a: np.ndarray, L: int) -> float:
+    """Largest spectral radius over principal ``L x L`` submatrices, by
+    enumerating all supports (refused beyond 1e6 of them)."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     dim = a.shape[0]
     if not 1 <= L <= dim:
         raise ValueError(f"L must lie in [1, {dim}]: {L}")
-    if mode == SUBRADIUS_EXACT:
-        if math.comb(dim, L) > _SUBRADIUS_ENUM_CAP:
-            raise ValueError(
-                f"C({dim}, {L}) = {math.comb(dim, L)} supports exceed the enumeration cap"
-            )
-        supports = itertools.combinations(range(dim), L)
-    elif mode == SUBRADIUS_RANDOM:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        supports = (
-            np.sort(rng.choice(dim, size=L, replace=False)) for _ in range(trials)
+    if math.comb(dim, L) > 10 ** 6:
+        raise ValueError(
+            f"C({dim}, {L}) = {math.comb(dim, L)} supports exceed the enumeration cap"
         )
-    else:
-        raise ValueError(f"unknown subradius mode: {mode!r}")
-
     best = 0.0
     batch: list[np.ndarray] = []
-    for sup in supports:
+    for sup in itertools.combinations(range(dim), L):
         idx = np.fromiter(sup, dtype=np.int64, count=L)
         batch.append(a[np.ix_(idx, idx)])
         if len(batch) == 512:
@@ -449,7 +442,7 @@ def localization_bound_check(
     res = float(np.linalg.norm(a @ v - lam * v))
     pre["eigenpair"] = res <= 1e-8 * max(1.0, abs(lam))
     op_norm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (a + a.T)))))
-    rho_l = principal_subradius(a, L, mode=SUBRADIUS_EXACT)
+    rho_l = principal_subradius(a, L)
     if eta >= 1.0:
         rhs = math.inf
     else:

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limits import mp_cdf, mp_edges, pp_mean_count
-from .matrices import SparseMatrix
+from .limits import mp_cdf, pp_mean_count
 
 # One-sided ~95% critical value of sqrt(n) * D_n for the Kolmogorov-Smirnov
 # statistic under the null; approximate, documented as such wherever used.
@@ -101,88 +100,10 @@ def poisson_count_test(
     return records
 
 
-@dataclass(frozen=True)
-class EsdHistogram:
-    """Histogram of normalized eigenvalues with the KS distance to the
-    Marchenko-Pastur law of matching shape."""
-
-    values: np.ndarray
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    rho: float
-    ks_mp: float
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("bin_lo,bin_hi,count\n")
-            for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-                fh.write(f"{float(lo)!r},{float(hi)!r},{int(c)}\n")
-
-
-def esd(spectrum, scale: float, bins: int, rho: float) -> EsdHistogram:
-    """Empirical spectral distribution of ``spectrum / scale``.
-
-    Bins cover ``[0, 1.5 * mp_upper_edge]``; values outside are clipped into
-    the range so that counts always sum to the number of eigenvalues.
-    """
+def esd(spectrum, scale: float, rho: float) -> float:
+    """Kolmogorov-Smirnov distance from the empirical spectral distribution of
+    ``spectrum / scale`` to the Marchenko-Pastur law of shape ``rho``."""
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and positive: {scale!r}")
-    if not isinstance(bins, int) or bins < 1:
-        raise ValueError(f"bins must be a positive integer: {bins!r}")
-    arr = np.asarray(spectrum, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("spectrum must be a nonempty 1-d array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("spectrum must be finite")
-    values = arr / scale
-    _, upper = mp_edges(rho)
-    top = 1.5 * upper
-    clipped = np.clip(values, 0.0, top)
-    counts, edges = np.histogram(clipped, bins=bins, range=(0.0, top))
-    ks = ks_statistic(values, lambda x: mp_cdf(x, rho))
-    return EsdHistogram(values=values, bin_edges=edges, counts=counts, rho=rho, ks_mp=ks)
-
-
-def concentration_check(counts, m: int, prob: float, eta: float) -> bool:
-    """True when the mean of Bernoulli-sum counts is within ``eta * prob`` of
-    ``prob`` after dividing by the number of trials ``m``."""
-    arr = np.asarray(counts, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("counts must be nonempty")
-    if m < 1 or not (math.isfinite(prob) and 0.0 < prob <= 1.0):
-        raise ValueError(f"need m >= 1 and prob in (0, 1]: m={m!r}, prob={prob!r}")
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be positive: {eta!r}")
-    return bool(abs(float(arr.mean()) / m - prob) <= eta * prob)
-
-
-def large_entry_collision_scan(m: SparseMatrix, threshold: float) -> dict:
-    """Count rows and columns holding two or more entries above ``threshold``
-    in magnitude.
-
-    In the heavy-tailed regime the extreme entries of one sample sit in
-    distinct rows and columns with probability tending to one, so both counts
-    are usually zero.
-    """
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"threshold must be finite and positive: {threshold!r}")
-    big = np.abs(m.values) > threshold
-    rows = m.row_index_of_entries()[big]
-    cols = m.indices[big]
-    row_hits = np.bincount(rows, minlength=m.rows)
-    col_hits = np.bincount(cols, minlength=m.cols)
-    return {
-        "row_collisions": int(np.sum(row_hits >= 2)),
-        "col_collisions": int(np.sum(col_hits >= 2)),
-    }
-
-
-def test_record(name: str, observed: float, expected: float, tolerance: float) -> dict:
-    """Uniform pass/fail record: ``pass`` iff ``|observed - expected| <= tolerance``."""
-    return {
-        "name": name,
-        "observed": float(observed),
-        "expected": float(expected),
-        "tolerance": float(tolerance),
-        "pass": bool(abs(observed - expected) <= tolerance),
-    }
+    values = np.asarray(spectrum, dtype=np.float64) / scale
+    return ks_statistic(values, lambda x: mp_cdf(x, rho))

@@ -222,11 +222,6 @@ def sample_entries(law: TailLaw, rng: np.random.Generator, size: int) -> np.ndar
     return signs * mags
 
 
-def sample_entry(law: TailLaw, rng: np.random.Generator) -> float:
-    """Draw one entry of the law."""
-    return float(sample_entries(law, rng, 1)[0])
-
-
 @dataclass(frozen=True)
 class SparsitySpec:
     """Nonzero-pattern generator for one matrix row.

@@ -384,6 +384,29 @@ def test_config_section_scoped_to_command(tmp_path, capsys):
     assert "--alpha" in err
 
 
+def test_config_default_section_rejected(tmp_path, capsys):
+    # configparser merges [DEFAULT] into every section, so its keys would
+    # reach commands that do not take them
+    cfg = write_config(
+        tmp_path, "[DEFAULT]\nseed = 5\n[sample]\nalpha = 1.0\nmu = 1.0\nn = 30\n"
+    )
+    code, _, err = run(capsys, ["--config", cfg, "sample"])
+    assert code == 1
+    assert "[DEFAULT]" in err
+
+
+def test_esd_bins_removed(tmp_path, capsys):
+    flags = ["experiment", "--kind", "poisson", "--alpha", "1", "--mu", "1",
+             "--n", "40", "--replicates", "2"]
+    code, _, err = run(capsys, [*flags, "--esd-bins", "64"])
+    assert code == 1
+    assert "--esd-bins" in err
+    cfg = write_config(tmp_path, "[experiment]\nesd_bins = 64\n")
+    code, _, err = run(capsys, ["--config", cfg, *flags])
+    assert code == 1
+    assert "esd_bins" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep and verify
 

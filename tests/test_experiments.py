@@ -155,8 +155,6 @@ def test_config_bounds():
         poisson_cfg(thresholds=(0.0,))
     with pytest.raises(ValueError):
         poisson_cfg(solver_tol=1e-13)
-    with pytest.raises(ValueError):
-        poisson_cfg(esd_bins=0)
 
 
 # ---------------------------------------------------------------------------

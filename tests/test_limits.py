@@ -40,8 +40,6 @@ def test_classify_regime():
 def test_regime_params():
     reg = RegimeParams(alpha=1.0, mu=1.0, rho=0.5, n=200)
     assert reg.p == 100
-    assert reg.threshold == 4.0
-    assert RegimeParams(alpha=1.0, mu=0.0, rho=1.0, n=10).threshold == math.inf
     with pytest.raises(ValueError):
         RegimeParams(alpha=0.0, mu=1.0, rho=1.0, n=10)
     with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from htspec.localization import (
-    LocalizationProfile,
     distance_to_basis_vector,
     distance_to_pair_vector,
     is_localized,
@@ -18,19 +18,20 @@ def unit(v):
 
 
 def test_profile_mass_curve():
-    prof = localization_profile(np.array([0.6, 0.8, 0.0]))
-    np.testing.assert_allclose(prof.mass_curve, [0.64, 1.0, 1.0], atol=1e-15)
-    np.testing.assert_array_equal(prof.coordinate_order[:2], [1, 0])
-    assert prof.ipr == pytest.approx(0.8**4 + 0.6**4, rel=1e-14)
+    curve = localization_profile(np.array([0.6, 0.8, 0.0]))
+    np.testing.assert_allclose(curve, [0.64, 1.0, 1.0], atol=1e-15)
 
 
 def test_profile_best_support():
-    prof = localization_profile(np.array([0.6, 0.8, 0.0]))
-    np.testing.assert_array_equal(np.sort(prof.best_support(2)), [0, 1])
-    with pytest.raises(ValueError):
-        prof.best_support(0)
-    with pytest.raises(ValueError):
-        prof.best_support(4)
+    # entry L-1 of the curve is the largest mass over all supports of size L
+    v = unit(np.random.Generator(np.random.PCG64(5)).standard_normal(7))
+    curve = localization_profile(v)
+    for L in range(1, v.size + 1):
+        best = max(
+            float(np.sum(v[list(sup)] ** 2))
+            for sup in itertools.combinations(range(v.size), L)
+        )
+        assert curve[L - 1] == pytest.approx(best, rel=1e-14)
 
 
 def test_profile_requires_unit_vector():
@@ -38,14 +39,6 @@ def test_profile_requires_unit_vector():
         localization_profile(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         localization_profile(np.zeros(3))
-
-
-def test_ipr_extremes():
-    n = 64
-    spread = localization_profile(unit(np.ones(n)))
-    assert spread.ipr == pytest.approx(1.0 / n, rel=1e-12)
-    point = localization_profile(np.eye(n)[5])
-    assert point.ipr == 1.0
 
 
 def test_is_localized():
@@ -137,10 +130,3 @@ def test_distance_validation():
         distance_to_basis_vector(v, 7)  # out of range
     # non-unit input is allowed: the closed form holds for any vector
     assert distance_to_basis_vector(v * 2.0, 0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_profile_is_frozen():
-    prof = localization_profile(np.array([1.0, 0.0]))
-    assert isinstance(prof, LocalizationProfile)
-    with pytest.raises(AttributeError):
-        prof.ipr = 0.5

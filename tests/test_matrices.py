@@ -10,12 +10,10 @@ from scipy.sparse import csr_matrix
 from htspec.matrices import (
     RankedEntry,
     SparseMatrix,
-    filtered_row_sums,
     gram_matvec,
     load_matrix_csv,
     matvec,
     norms,
-    row_nonzero_counts,
     save_matrix_csv,
     top_entries,
     truncate_split,
@@ -233,29 +231,37 @@ def test_truncate_split_preserves_symmetry():
     assert m_hat.symmetric and m_prime.symmetric
 
 
+@st.composite
+def split_inputs(draw):
+    """A plain rectangular or a flagged symmetric matrix, and a level that is
+    often one of its magnitudes."""
+    values = st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, -4.0, 0.3])
+    symmetric = draw(st.booleans())
+    p = draw(st.integers(1, 6))
+    n = p if symmetric else draw(st.integers(1, 6))
+    a = draw(arrays(np.float64, (p, n), elements=values))
+    if symmetric:
+        a = np.triu(a) + np.triu(a, 1).T
+    level = draw(st.one_of(st.sampled_from([0.3, 1.0, 2.5, 4.0]), st.floats(1e-3, 10.0)))
+    return SparseMatrix.from_dense(a, symmetric=symmetric), a, level
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_inputs())
+def test_truncate_split_parts_sum_to_input(case):
+    m, a, level = case
+    m_hat, m_prime = truncate_split(m, level)
+    hat, prime = m_hat.to_dense(), m_prime.to_dense()
+    np.testing.assert_array_equal(hat + prime, a)
+    assert not np.any((hat != 0) & (prime != 0))
+    assert m_hat.symmetric == m_prime.symmetric == m.symmetric
+
+
 def test_truncate_split_validation():
     with pytest.raises(ValueError):
         truncate_split(small(), 0.0)
     with pytest.raises(ValueError):
         truncate_split(small(), math.inf)
-
-
-def test_filtered_row_sums():
-    a = np.array([[1.0, -2.0, 4.0], [0.0, 3.0, 0.0]])
-    m = SparseMatrix.from_dense(a)
-    np.testing.assert_allclose(filtered_row_sums(m, 1.0, 3.0, axis="rows"), [2.0, 3.0])
-    np.testing.assert_allclose(filtered_row_sums(m, 1.0, 3.0, axis="cols"), [0.0, 5.0, 0.0])
-    with pytest.raises(ValueError):
-        filtered_row_sums(m, 3.0, 1.0)
-    with pytest.raises(ValueError):
-        filtered_row_sums(m, 0.0, 1.0, axis="diag")
-
-
-def test_row_nonzero_counts():
-    a = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
-    m = SparseMatrix.from_dense(a)
-    assert row_nonzero_counts(m) == (3, 2)
-    assert row_nonzero_counts(SparseMatrix.from_dense(np.zeros((2, 2)))) == (0, 0)
 
 
 def test_csv_roundtrip(tmp_path):

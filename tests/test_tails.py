@@ -20,7 +20,6 @@ from htspec.tails import (
     _sigma,
     quantile_abs,
     sample_entries,
-    sample_entry,
     sample_matrix,
     tail,
     variance_unstandardized,
@@ -149,14 +148,6 @@ def test_sample_signs_symmetric():
     assert abs(np.mean(x > 0) - 0.5) <= 4 * 0.5 / math.sqrt(x.size)
     assert np.all(x != 0.0)
     assert np.all(np.abs(x) >= law.support_min)
-
-
-def test_sample_entry_scalar():
-    law = TailLaw(alpha=1.0)
-    a = sample_entry(law, np.random.Generator(np.random.PCG64(3)))
-    b = sample_entry(law, np.random.Generator(np.random.PCG64(3)))
-    assert a == b
-    assert isinstance(a, float)
 
 
 def test_law_validation():
