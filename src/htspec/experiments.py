@@ -81,6 +81,8 @@ from .tails import (
 )
 
 WORKERS_ENV = "HTSPEC_WORKERS"
+# Bumped whenever report bytes change; reports without the field are version 1.
+REPORT_FORMAT_VERSION = 2
 
 # Localization sweep for delocalization checks: support sizes floor(p**beta).
 LOC_BETAS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -299,6 +301,7 @@ class ExperimentReport:
         import json
 
         payload = {
+            "format_version": REPORT_FORMAT_VERSION,
             "kind": self.kind,
             "config": _jsonable(self.config),
             "replicates": [_jsonable(rec.to_dict(include_timing)) for rec in self.records],

@@ -9,7 +9,8 @@ The heavy-tailed regime sends normalized extreme eigenvalues to a Frechet
 law and the top of the spectrum to a Poisson point process; the light-tailed
 regime sends the spectral distribution of ``M M^T / n^mu`` to the
 Marchenko-Pastur law with shape ``rho``.  The boundary between the regimes
-is ``alpha = 2 (1 + 1/mu)``.
+is ``alpha = 2 (1 + 1/mu)``.  The Marchenko-Pastur distribution function is
+evaluated in closed form (the formula is in :func:`mp_cdf`).
 """
 
 from __future__ import annotations
@@ -151,71 +152,27 @@ def mp_density(x, rho: float):
     return float(out[0]) if scalar else out
 
 
-def _adaptive_simpson(f, a, fa, m, fm, b, fb, whole, tol, depth) -> float:
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return _adaptive_simpson(f, a, fa, lm, flm, m, fm, left, tol / 2.0, depth - 1) + \
-        _adaptive_simpson(f, m, fm, rm, frm, b, fb, right, tol / 2.0, depth - 1)
-
-
-def _integrate(f, a: float, b: float, tol: float, depth: int = 48) -> float:
-    """Adaptive Simpson quadrature of ``f`` over ``[a, b]``."""
-    if b <= a:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, fa, m, fm, b, fb, whole, tol, depth)
-
-
 def mp_cdf(x, rho: float):
-    """Marchenko-Pastur distribution function by adaptive Simpson quadrature.
-
-    Absolute accuracy is about 1e-10.  For ``rho = 1`` the inverse-square-root
-    singularity at 0 is removed by the substitution ``x = s^2``, which turns
-    the integrand into the semicircle density ``sqrt(4 - s^2)/pi``.  Array
-    arguments are integrated incrementally between sorted points, so the cost
-    of evaluating at many quantiles is one pass over the support.
+    """Marchenko-Pastur distribution function: on ``(l-, l+)``, with
+    ``r = sqrt((l+ - x)(x - l-))`` and ``s = sqrt(rho)``, ``F(x) = 1/2 + (r
+    + (1 + rho) asin((x - 1 - rho) / (2 s)) - (1 - rho) asin(((1 + rho) x
+    - (1 - rho)^2) / (2 s x))) / (2 pi rho)``, and exactly 0 or 1 outside.
+    Both ``asin`` arguments are clipped to ``[-1, 1]`` against rounding, and
+    the second needs ``x > l- >= 0``, so ``rho = 1`` has no ``0/0``.
     """
     lo, hi = mp_edges(rho)
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(np.float64)
+    arr = np.atleast_1d(arr)
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")
 
-    if lo < 1e-12:
-        def integrand(s: float) -> float:
-            return math.sqrt(max(0.0, 4.0 - s * s)) / math.pi
-
-        def to_var(t: float) -> float:
-            return math.sqrt(max(t, 0.0))
-    else:
-        def integrand(t: float) -> float:
-            return float(mp_density(t, rho))
-
-        def to_var(t: float) -> float:
-            return t
-
-    clipped = np.clip(arr, lo, hi)
-    order = np.argsort(clipped, kind="stable")
-    sorted_pts = clipped[order]
-    limits = np.concatenate(([lo], sorted_pts))
-    cum = np.empty(sorted_pts.size)
-    total = 0.0
-    for idx in range(sorted_pts.size):
-        total += _integrate(integrand, to_var(limits[idx]), to_var(limits[idx + 1]), tol=1e-12)
-        cum[idx] = total
-    out = np.empty_like(cum)
-    out[order] = np.minimum(cum, 1.0)
-    # pin the tails exactly: quadrature noise must not leak past [0, 1]
-    out[arr <= lo] = 0.0
-    out[arr >= hi] = 1.0
+    out = np.where(arr >= hi, 1.0, 0.0)
+    inside = (arr > lo) & (arr < hi)
+    xi = arr[inside]
+    s = math.sqrt(rho)
+    a1 = np.arcsin(np.clip((xi - 1.0 - rho) / (2.0 * s), -1.0, 1.0))
+    a2 = np.arcsin(np.clip(((1.0 + rho) * xi - (1.0 - rho) ** 2) / (2.0 * s * xi), -1.0, 1.0))
+    f = np.sqrt((hi - xi) * (xi - lo)) + (1.0 + rho) * a1 - (1.0 - rho) * a2
+    out[inside] = np.clip(0.5 + f / (2.0 * math.pi * rho), 0.0, 1.0)
     return float(out[0]) if scalar else out

@@ -29,6 +29,10 @@ from .matrices import RankedEntry, SparseMatrix, gram_matvec, matvec
 
 DENSE_DIM_LIMIT = 2048
 
+# Share of the largest |Ritz value| below which a residual counts as converged:
+# rounding alone leaves up to about 1e-13 |A| on an eigenvalue near zero.
+RESIDUAL_FLOOR = 1e-12
+
 SOLVER_DENSE = "dense"
 SOLVER_LANCZOS = "lanczos"
 
@@ -126,7 +130,8 @@ def top_eigs(
     Gram product, so the result is the top of ``M M^T``.  The start vector is
     drawn from ``PCG64(seed)``, making the run deterministic.  Convergence
     requires every reported pair to satisfy
-    ``|A v - lambda v| <= tol * max(1, |lambda|)``; if the iteration cap
+    ``|A v - lambda v| <= tol * max(1, |lambda|)``, or, in the final check
+    only, ``<= RESIDUAL_FLOOR * max |Ritz value|``; if the iteration cap
     (``10 k + 400``, never beyond the dimension) is reached first, the
     best estimates are returned with ``converged = False``.  A pass that runs
     out of Krylov space (``w`` is rounding noise, or all its Ritz pairs have
@@ -246,7 +251,8 @@ def top_eigs(
     for col in range(values.size):
         residuals[col] = np.linalg.norm(apply_op(vectors[:, col]) - values[col] * vectors[:, col])
     converged = bool(converged or steps == dim)
-    converged = bool(converged and np.all(residuals <= tol * np.maximum(1.0, np.abs(values))))
+    allowed = np.maximum(tol * np.maximum(1.0, np.abs(values)), RESIDUAL_FLOOR * np.max(np.abs(theta)))
+    converged = bool(converged and np.all(residuals <= allowed))
     return SpectralResult(
         eigenvalues=values,
         eigenvectors=vectors,

@@ -32,7 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
-from scipy.sparse import coo_matrix
 
 from .seeding import MASK64, mix64
 
@@ -385,20 +384,18 @@ def sample_matrix(spec: EnsembleSpec):
     data = np.where(u_sign < 0.5, 1.0, -1.0) * (_quantile_raw(law, 1.0 - u_mag) / _sigma(law))
     del u_mag, u_sign
 
-    if not hermitian:
-        # Rows come out in order with ascending columns: already CSR.
-        indptr = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return SparseMatrix(rows=p, cols=n, indptr=indptr, indices=cols, values=data)
-
-    rows = np.repeat(np.arange(p, dtype=np.int64), counts)
-    off = rows != cols
-    mirror_rows = cols[off]
-    mirror_cols = rows[off]
-    rows = np.concatenate([rows, mirror_rows])
-    cols = np.concatenate([cols, mirror_cols])
-    data = np.concatenate([data, data[off]])
-
-    csr = coo_matrix((data, (rows, cols)), shape=(p, n)).tocsr()
-    csr.sort_indices()
-    return SparseMatrix.from_scipy(csr, symmetric=True)
+    if hermitian:
+        rows = np.repeat(np.arange(p, dtype=np.int64), counts)
+        off = rows != cols
+        # Mirrored entries first: a stable sort by row then puts row i's mirrored
+        # columns (below i, ascending) before its own, so each row is in order.
+        full_rows = np.concatenate([cols[off], rows])
+        order = np.argsort(full_rows, kind="stable")
+        cols = np.concatenate([rows[off], cols])[order]
+        data = np.concatenate([data[off], data])[order]
+        counts = np.bincount(full_rows, minlength=p)
+        del rows, off, full_rows, order
+    # Rows now come out in order with ascending columns: already CSR.
+    indptr = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return SparseMatrix(rows=p, cols=n, indptr=indptr, indices=cols, values=data, symmetric=hermitian)

@@ -316,7 +316,8 @@ def test_save_json_roundtrip(tmp_path):
     report.save_json(path)
     payload = json.loads(path.read_text())
     assert set(payload) == {
-        "kind", "config", "replicates", "aggregates", "verdicts", "elapsed_s",
+        "format_version", "kind", "config", "replicates", "aggregates", "verdicts",
+        "elapsed_s",
     }
     assert payload["kind"] == "poisson"
     assert len(payload["replicates"]) == 2
@@ -325,6 +326,7 @@ def test_save_json_roundtrip(tmp_path):
     report.save_json(path, include_timing=False)
     bare = json.loads(path.read_text())
     assert "elapsed_s" not in bare
+    assert bare["format_version"] == payload["format_version"] == 2
     assert all("time_s" not in rec for rec in bare["replicates"])
 
 

@@ -131,9 +131,9 @@ def test_mp_density_integrates_to_one():
 
 def test_mp_cdf_against_quad():
     # independent oracle: scipy adaptive quadrature of the density
-    for rho in (1.0, 0.6, 0.3):
+    for rho in (1.0, 0.6, 0.3, 0.05):
         lo, hi = mp_edges(rho)
-        for frac in (0.1, 0.35, 0.5, 0.8, 0.97):
+        for frac in (1e-6, 0.1, 0.35, 0.5, 0.8, 0.97, 1 - 1e-6):
             x = lo + frac * (hi - lo)
             ref, _ = quad(lambda t: mp_density(t, rho), lo, x, limit=400)
             assert mp_cdf(x, rho) == pytest.approx(ref, abs=5e-9), (rho, x)
@@ -151,15 +151,16 @@ def test_mp_cdf_limits_and_clipping():
 
 def test_mp_cdf_array_matches_scalar():
     xs = np.linspace(-0.5, 4.5, 41)
-    arr = mp_cdf(xs, 1.0)
-    scalars = np.array([mp_cdf(float(x), 1.0) for x in xs])
-    np.testing.assert_allclose(arr, scalars, atol=1e-12)
-    assert np.all(np.diff(arr) >= -1e-12)
+    for rho in (1.0, 0.3):
+        arr = mp_cdf(xs, rho)
+        scalars = np.array([mp_cdf(float(x), rho) for x in xs])
+        np.testing.assert_allclose(arr, scalars, atol=1e-12)
+        assert np.all(np.diff(arr) >= -1e-12)
 
 
 def test_mp_cdf_median_rho_one():
-    # rho = 1 substitution x = s^2 turns the bulk into a semicircle; the
-    # median of the squared semicircle solves F(x) = 1/2
+    # at rho = 1 the law is that of a squared semicircle variable; its
+    # median solves F(x) = 1/2
     from scipy.optimize import brentq
 
     med = brentq(lambda x: mp_cdf(x, 1.0) - 0.5, 0.01, 3.99, xtol=1e-12)

@@ -197,12 +197,18 @@ def short_krylov_inputs(draw):
 # five copies of one block: each pass closes only to rounding, below k steps
 @example((np.kron(np.eye(5), [[0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 3, 0], [0, 0, 0, 0]]),
           True, 5, 0))
+# Gram of a rank-two 4 x 10 integer matrix, top eigenvalue about 2037: its
+# zero eigenvalue keeps a rounding residual of 1.5e-10, above tol = 1e-10
+@example((np.array([[0, -2], [-3, 3], [-2, 2], [3, -1]])
+          @ np.array([[-2, 0, -2, 2, 3, 0, 2, -1, 2, -2], [3, 0, 3, 3, -3, -3, -1, 2, 2, -1]]),
+          True, 3, 0))
 def test_lanczos_matches_dense_after_krylov_space_runs_out(case):
     a, gram, k, min_restarts = case
     res = top_eigs(SparseMatrix.from_dense(a, symmetric=not gram), k)
     want = eig_dense_symmetric(a @ a.T if gram else a).eigenvalues[:k]
     assert np.all(np.abs(res.eigenvalues - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
     assert res.restarts >= min_restarts
+    assert res.converged
 
 
 def test_lanczos_zero_matrix():
