@@ -132,11 +132,13 @@ def _map_replicates(fn, count: int) -> list:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Immutable description of a replicated run."""
+    """Immutable description of a replicated run.  Alpha comes from ``law``
+    and mu from ``sparsity``; ``regime`` gathers them with ``rho`` and ``n``."""
 
-    regime: RegimeParams
     law: TailLaw
     sparsity: SparsitySpec
+    n: int
+    rho: float = 1.0
     shape: str = RECTANGULAR
     replicates: int = 10
     top_k: int = 5
@@ -145,28 +147,25 @@ class ExperimentConfig:
     solver_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        regime = self.regime  # RegimeParams validates alpha, mu, rho and n
         if self.shape not in (RECTANGULAR, HERMITIAN):
             raise ValueError(f"unknown shape: {self.shape!r}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1: {self.replicates}")
-        if self.law.alpha != self.regime.alpha:
-            raise ValueError(
-                f"law alpha {self.law.alpha} disagrees with regime alpha {self.regime.alpha}"
-            )
-        if self.sparsity.mu != self.regime.mu:
-            raise ValueError(
-                f"sparsity mu {self.sparsity.mu} disagrees with regime mu {self.regime.mu}"
-            )
-        if self.shape == HERMITIAN and self.regime.rho != 1.0:
+        if self.shape == HERMITIAN and regime.rho != 1.0:
             raise ValueError("hermitian runs are square; rho must be 1")
-        if not 1 <= self.top_k <= min(self.regime.p, 50):
+        if not 1 <= self.top_k <= min(regime.p, 50):
             raise ValueError(
-                f"top_k must lie in [1, min(p, 50)] = [1, {min(self.regime.p, 50)}]: {self.top_k}"
+                f"top_k must lie in [1, min(p, 50)] = [1, {min(regime.p, 50)}]: {self.top_k}"
             )
         if not self.thresholds or any(not (math.isfinite(t) and t > 0) for t in self.thresholds):
             raise ValueError("thresholds must be positive and nonempty")
         if not (math.isfinite(self.solver_tol) and self.solver_tol >= 1e-12):
             raise ValueError(f"solver_tol must be >= 1e-12: {self.solver_tol!r}")
+
+    @property
+    def regime(self) -> RegimeParams:
+        return RegimeParams(alpha=self.law.alpha, mu=self.sparsity.mu, rho=self.rho, n=self.n)
 
 
 def make_config(
@@ -200,11 +199,11 @@ def make_config(
         standardize=standardize,
     )
     sparsity = SparsitySpec(kind=sparsity_kind, mu=mu, halfwidth=halfwidth, count=count)
-    regime = RegimeParams(alpha=alpha, mu=mu, rho=rho, n=n)
     return ExperimentConfig(
-        regime=regime,
         law=law,
         sparsity=sparsity,
+        n=n,
+        rho=rho,
         shape=shape,
         replicates=replicates,
         top_k=top_k,
@@ -351,14 +350,6 @@ def _max_row_square_sum(m: SparseMatrix) -> float:
     return float(np.add.reduceat(sq, starts).max())
 
 
-def _entry_at(m: SparseMatrix, i: int, j: int) -> float:
-    row = m.indices[m.indptr[i]: m.indptr[i + 1]]
-    pos = np.searchsorted(row, j)
-    if pos < row.size and row[pos] == j:
-        return float(m.values[m.indptr[i] + pos])
-    return 0.0
-
-
 def _gram_sandwich(lam1: float, m: SparseMatrix, tol: float):
     """Exact sandwich for the top Gram eigenvalue: max row square sum <=
     lambda1 <= |m|_inf |m|_1.  ``tol`` covers solver error (0 for the dense
@@ -395,7 +386,8 @@ def _assert_symmetric_bounds(lam1: float, m: SparseMatrix, tol: float, top) -> t
             f"infinity norm bound violated: lambda1 = {lam1} > {inf_n}"
         )
     if top is not None and top.i != top.j:
-        diag = 0.5 * (_entry_at(m, top.i, top.i) + _entry_at(m, top.j, top.j))
+        a = m.to_scipy()
+        diag = 0.5 * (float(a[top.i, top.i]) + float(a[top.j, top.j]))
         lower = diag + top.magnitude
         slack = 1e-9 * max(1.0, abs(lower)) + 10.0 * tol * max(1.0, abs(lam1))
         if lam1 < lower - slack:

@@ -2,9 +2,12 @@
 
 The storage contract is plain CSR (``indptr``, ``indices``, ``values``) with
 strictly increasing column indices inside each row and finite nonzero values.
-scipy.sparse supplies the mechanical part (products, format conversion); the
-operations here are the ones with domain meaning: ranked extreme entries,
-operator norms and truncation splits.
+A matrix is stored once, as a scipy ``csr_matrix``: the three arrays of a
+``SparseMatrix`` are that matrix's own arrays, and the Gram product multiplies
+by its transpose view (a CSC matrix over the same arrays) instead of a stored
+transposed copy.  scipy.sparse supplies the mechanical part (products, format
+conversion); the operations here are the ones with domain meaning: ranked
+extreme entries, operator norms and truncation splits.
 
 Symmetric matrices store both triangles so that products are ordinary CSR
 products, but ranked entries and the CSV format use only ``i <= j``.
@@ -42,7 +45,6 @@ class SparseMatrix:
     values: np.ndarray
     symmetric: bool = False
     _csr: csr_matrix = field(init=False, repr=False, compare=False)
-    _csr_t: csr_matrix | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -61,17 +63,18 @@ class SparseMatrix:
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= self.cols:
                 raise ValueError("column index out of range")
-            row_start = np.zeros(self.indices.size, dtype=bool)
-            row_start[self.indptr[:-1][np.diff(self.indptr) > 0]] = True
-            if not np.all((np.diff(self.indices) > 0) | row_start[1:]):
-                raise ValueError("column indices must be strictly increasing within each row")
+        self._csr = csr_matrix(
+            (self.values, self.indices, self.indptr), shape=(self.rows, self.cols)
+        )
+        if not self._csr.has_canonical_format:
+            raise ValueError("column indices must be strictly increasing within each row")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("stored values must be finite")
         if np.any(self.values == 0.0):
             raise ValueError("stored values must be nonzero")
-        self._csr = csr_matrix(
-            (self.values, self.indices, self.indptr), shape=(self.rows, self.cols)
-        )
+        # scipy may narrow the index arrays to int32 copies; keep only its arrays.
+        csr = self._csr
+        self.indptr, self.indices, self.values = csr.indptr, csr.indices, csr.data
         if self.symmetric:
             if self.rows != self.cols:
                 raise ValueError("symmetric matrices must be square")
@@ -95,9 +98,9 @@ class SparseMatrix:
         return cls(
             rows=csr.shape[0],
             cols=csr.shape[1],
-            indptr=csr.indptr.astype(np.int64),
-            indices=csr.indices.astype(np.int64),
-            values=csr.data.astype(np.float64),
+            indptr=csr.indptr,
+            indices=csr.indices,
+            values=csr.data,
             symmetric=symmetric,
         )
 
@@ -132,9 +135,7 @@ def gram_matvec(m: SparseMatrix, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (m.rows,):
         raise ValueError(f"vector length {v.shape} incompatible with Gram of {m.rows} x {m.cols}")
-    if m._csr_t is None:
-        m._csr_t = m.to_scipy().T.tocsr()
-    return m.to_scipy() @ (m._csr_t @ v)
+    return m.to_scipy() @ (m.to_scipy().T @ v)
 
 
 def norms(m: SparseMatrix) -> tuple[float, float]:
@@ -218,10 +219,12 @@ def save_matrix_csv(m: SparseMatrix, path) -> None:
 def load_matrix_csv(path, rows: int | None = None, cols: int | None = None,
                     symmetric: bool = False) -> SparseMatrix:
     """Read the ``i,j,value`` format; symmetric files are mirrored below the
-    diagonal.  Dimensions default to the largest index seen plus one."""
+    diagonal.  Dimensions default to the largest index seen plus one.  An
+    ``(i, j)`` given twice is an error, not a sum."""
     ii: list[int] = []
     jj: list[int] = []
     vv: list[float] = []
+    first_line: dict[tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "i,j,value":
@@ -238,6 +241,9 @@ def load_matrix_csv(path, rows: int | None = None, cols: int | None = None,
                 raise ValueError(f"line {lineno}: negative index")
             if symmetric and i > j:
                 raise ValueError(f"line {lineno}: symmetric files store only i <= j")
+            seen = first_line.setdefault((i, j), lineno)
+            if seen != lineno:
+                raise ValueError(f"line {lineno}: entry ({i}, {j}) repeats line {seen}")
             ii.append(i)
             jj.append(j)
             vv.append(v)

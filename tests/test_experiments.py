@@ -130,16 +130,14 @@ def test_rerun_is_bit_identical():
 
 
 def test_config_cross_checks():
-    law = TailLaw(alpha=1.0)
-    sparsity = SparsitySpec.bernoulli(1.0)
-    regime = RegimeParams(alpha=2.0, mu=1.0, rho=1.0, n=50)
-    with pytest.raises(ValueError):
-        ExperimentConfig(regime=regime, law=law, sparsity=sparsity)
-    regime = RegimeParams(alpha=1.0, mu=0.5, rho=1.0, n=50)
-    with pytest.raises(ValueError):
-        ExperimentConfig(regime=regime, law=law, sparsity=sparsity)
     with pytest.raises(ValueError):
         make_config(alpha=1.0, mu=1.0, n=50, replicates=2, rho=0.5, shape="hermitian")
+    # alpha and mu are stored once, in the law and the mask
+    law, sparsity = TailLaw(alpha=1.5), SparsitySpec.bernoulli(0.5)
+    cfg = ExperimentConfig(law=law, sparsity=sparsity, n=50, rho=0.5)
+    assert cfg.regime == RegimeParams(alpha=1.5, mu=0.5, rho=0.5, n=50)
+    with pytest.raises(ValueError):  # the regime is still validated
+        ExperimentConfig(law=law, sparsity=sparsity, n=0)
 
 
 def test_config_bounds():

@@ -49,6 +49,11 @@ def test_csr_layout():
     np.testing.assert_array_equal(m.indices, [0, 1, 1])
     np.testing.assert_array_equal(m.values, [1.0, -2.0, 3.0])
     np.testing.assert_array_equal(m.row_index_of_entries(), [0, 0, 1])
+    # the matrix is stored once: its arrays are its CSR's arrays
+    csr = m.to_scipy()
+    assert np.shares_memory(m.indptr, csr.indptr)
+    assert np.shares_memory(m.indices, csr.indices)
+    assert np.shares_memory(m.values, csr.data)
 
 
 def test_validation_rejects_bad_structure():
@@ -105,6 +110,9 @@ def test_gram_matvec_matches_dense():
     m, a = random_sparse(3)
     v = np.random.Generator(np.random.PCG64(4)).standard_normal(a.shape[0])
     np.testing.assert_allclose(gram_matvec(m, v), a @ (a.T @ v), rtol=1e-12, atol=1e-12)
+    # report digests depend on the transpose view giving the transposed copy's bits
+    csr = m.to_scipy()
+    assert np.array_equal(gram_matvec(m, v), csr @ (csr.T.tocsr() @ v))
 
 
 def test_norms_example():
@@ -303,6 +311,20 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("x,y,z\n0,0,1.0\n")
     with pytest.raises(ValueError):
         load_matrix_csv(path)
+
+
+def test_csv_rejects_repeated_entry(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("i,j,value\n0,1,2.0\n1,0,5.0\n0,1,2.0\n")
+    with pytest.raises(ValueError, match=r"line 4: entry \(0, 1\) repeats line 2"):
+        load_matrix_csv(path)
+    # in a symmetric file an entry and the mirror the loader adds are one entry
+    path.write_text("i,j,value\n0,1,2.0\n1,1,3.0\n")
+    m = load_matrix_csv(path, symmetric=True)
+    np.testing.assert_array_equal(m.to_dense(), [[0.0, 2.0], [2.0, 3.0]])
+    path.write_text("i,j,value\n0,1,2.0\n1,1,3.0\n0,1,2.0\n")
+    with pytest.raises(ValueError, match="line 4"):
+        load_matrix_csv(path, symmetric=True)
 
 
 def test_csv_dims_inferred(tmp_path):
