@@ -13,9 +13,6 @@ invariants and the distributional limits behind that picture.
 
 from .seeding import mix64
 from .tails import (
-    BAND,
-    BERNOULLI,
-    FIXED_COUNT,
     HERMITIAN,
     RECTANGULAR,
     SV_CONSTANT,
@@ -106,9 +103,6 @@ __all__ = [
     "SV_LOG_POWER",
     "RECTANGULAR",
     "HERMITIAN",
-    "BERNOULLI",
-    "BAND",
-    "FIXED_COUNT",
     "SparseMatrix",
     "RankedEntry",
     "matvec",

@@ -27,9 +27,6 @@ from .limits import EDGE, classify_regime
 from .matrices import SparseMatrix, load_matrix_csv, norms, save_matrix_csv, top_entries
 from .spectral import SOLVER_DENSE, SOLVER_LANCZOS, eig_dense_symmetric, top_eigs
 from .tails import (
-    BAND,
-    BERNOULLI,
-    FIXED_COUNT,
     HERMITIAN,
     RECTANGULAR,
     SV_CONSTANT,
@@ -148,9 +145,6 @@ def _add_ensemble_args(sub: argparse.ArgumentParser, single_matrix: bool = True)
         "--standardize", action=argparse.BooleanOptionalAction,
         help="standardize the law (default: off; an experiment chooses by kind)",
     )
-    sub.add_argument("--sparsity", choices=(BERNOULLI, BAND, FIXED_COUNT), default=BERNOULLI)
-    sub.add_argument("--halfwidth", type=int, help="band sparsity half width")
-    sub.add_argument("--count", type=int, help="fixed-count sparsity entries per row")
 
 
 def build_parser() -> _Parser:
@@ -239,9 +233,7 @@ def _sample(args: argparse.Namespace) -> SparseMatrix:
         support_min=args.support_min,
         standardize=bool(args.standardize),
     )
-    sparsity = SparsitySpec(
-        kind=args.sparsity, mu=args.mu, halfwidth=args.halfwidth, count=args.count
-    )
+    sparsity = SparsitySpec.bernoulli(args.mu)
     spec = EnsembleSpec(
         shape=args.shape, n=args.n, law=law, sparsity=sparsity, seed=args.seed, rho=args.rho
     )
@@ -335,9 +327,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         sv_c=args.sv_c,
         sv_beta=args.sv_beta,
         support_min=args.support_min,
-        sparsity_kind=args.sparsity,
-        halfwidth=args.halfwidth,
-        count=args.count,
         solver_tol=args.solver_tol,
     )
     if args.kind == "poisson":

@@ -70,7 +70,6 @@ from .spectral import (
 )
 from .stats import ks_statistic, esd, poisson_count_test
 from .tails import (
-    BERNOULLI,
     HERMITIAN,
     RECTANGULAR,
     SV_CONSTANT,
@@ -82,7 +81,7 @@ from .tails import (
 
 WORKERS_ENV = "HTSPEC_WORKERS"
 # Bumped whenever report bytes change; reports without the field are version 1.
-REPORT_FORMAT_VERSION = 2
+REPORT_FORMAT_VERSION = 3
 
 # Localization sweep for delocalization checks: support sizes floor(p**beta).
 LOC_BETAS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -184,9 +183,6 @@ def make_config(
     sv_c: float = 1.0,
     sv_beta: float = 0.0,
     support_min: float = 1.0,
-    sparsity_kind: str = BERNOULLI,
-    halfwidth: int | None = None,
-    count: int | None = None,
     solver_tol: float = 1e-8,
 ) -> ExperimentConfig:
     """Convenience constructor wiring the law, mask, and regime together."""
@@ -198,10 +194,9 @@ def make_config(
         support_min=support_min,
         standardize=standardize,
     )
-    sparsity = SparsitySpec(kind=sparsity_kind, mu=mu, halfwidth=halfwidth, count=count)
     return ExperimentConfig(
         law=law,
-        sparsity=sparsity,
+        sparsity=SparsitySpec.bernoulli(mu),
         n=n,
         rho=rho,
         shape=shape,
@@ -227,11 +222,6 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
             "sv_beta": cfg.law.sv_beta,
             "support_min": cfg.law.support_min,
             "standardize": cfg.law.standardize,
-        },
-        "sparsity": {
-            "kind": cfg.sparsity.kind,
-            "halfwidth": cfg.sparsity.halfwidth,
-            "count": cfg.sparsity.count,
         },
         "replicates": cfg.replicates,
         "top_k": cfg.top_k,

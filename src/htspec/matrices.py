@@ -49,14 +49,20 @@ class SparseMatrix:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"matrix dimensions must be positive: {self.rows} x {self.cols}")
-        self.indptr = np.asarray(self.indptr, dtype=np.int64)
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        # Index arrays are validated in their incoming dtype: no widening copy,
+        # and a float or bool index is refused instead of truncated.
+        self.indptr = np.asarray(self.indptr)
+        self.indices = np.asarray(self.indices)
         self.values = np.asarray(self.values, dtype=np.float64)
+        for name, arr in (("indptr", self.indptr), ("indices", self.indices)):
+            if arr.size and not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
         if self.indptr.shape != (self.rows + 1,):
             raise ValueError("indptr must have length rows + 1")
         if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
             raise ValueError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.indptr) < 0):
+        # Compared, not differenced: a difference of unsigned offsets wraps.
+        if np.any(self.indptr[1:] < self.indptr[:-1]):
             raise ValueError("indptr offsets must be nondecreasing")
         if self.indices.shape != self.values.shape:
             raise ValueError("indices and values must have equal length")

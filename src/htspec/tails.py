@@ -12,16 +12,17 @@ only for ``alpha > 2``) the variable is divided by the square root of its
 second moment, so entries have mean zero and variance one; ``tail`` and
 ``quantile_abs`` then describe the rescaled variable.
 
-Matrices combine i.i.d. entries with a sparsity mask.  Every row draws its
-mask and its values from per-row streams derived with :func:`seeding.mix64`
-from the ensemble seed, so a sampled matrix is a pure function of its
-:class:`EnsembleSpec`: independent of traversal order, reproducible across
-processes, and the nonzero pattern does not change when only the entry law
-changes.  The sampler positions each row's streams with ``PCG64.advance`` to
-skip the draws no kept entry uses, builds no mask stream when the spec fixes
-the mask, and inverts the quantile once over the whole matrix; the stream
-layout, and so every sampled matrix, is the same as when every stream is drawn
-in full, row by row.
+Matrices combine i.i.d. entries with a Bernoulli sparsity mask, which keeps
+each position independently with probability ``n**(mu - 1)``.  Every row
+draws its mask and its values from per-row streams derived with
+:func:`seeding.mix64` from the ensemble seed, so a sampled matrix is a pure
+function of its :class:`EnsembleSpec`: independent of traversal order,
+reproducible across processes, and the nonzero pattern does not change when
+only the entry law changes.  The sampler positions each row's streams with ``PCG64.advance`` to
+skip the draws no kept entry uses, builds no mask stream for a row that keeps
+every column (``mu = 1``), and inverts the quantile once over the whole
+matrix; the stream layout, and so every sampled matrix, is the same as when
+every stream is drawn in full, row by row.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ SV_LOG_POWER = "log_power"
 
 RECTANGULAR = "rectangular"
 HERMITIAN = "hermitian"
-
-BERNOULLI = "bernoulli"
-BAND = "band"
-FIXED_COUNT = "fixed_count"
 
 # Stream tags inside one matrix draw; mask and values never share a stream.
 _TAG_MASK = 0
@@ -223,47 +220,19 @@ def sample_entries(law: TailLaw, rng: np.random.Generator, size: int) -> np.ndar
 
 @dataclass(frozen=True)
 class SparsitySpec:
-    """Nonzero-pattern generator for one matrix row.
+    """Bernoulli mask: each position is kept independently with probability
+    ``n**(mu - 1)``, so a ``p x n`` matrix has about ``p n**mu`` nonzeros.
+    The exponent ``mu`` also enters the extreme-value normalizations."""
 
-    ``bernoulli`` keeps each position independently with probability
-    ``n**(mu - 1)``; ``band`` keeps ``|i - j| <= halfwidth`` deterministically;
-    ``fixed_count`` keeps a uniformly random set of ``count`` positions.  The
-    exponent ``mu`` also enters the extreme-value normalizations, so it is
-    carried for every kind.
-    """
-
-    kind: str = BERNOULLI
     mu: float = 1.0
-    halfwidth: int | None = None
-    count: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (BERNOULLI, BAND, FIXED_COUNT):
-            raise ValueError(f"unknown sparsity kind: {self.kind!r}")
         if not (math.isfinite(self.mu) and 0.0 <= self.mu <= 1.0):
             raise ValueError(f"mu must lie in [0, 1]: {self.mu!r}")
-        if self.kind == BAND:
-            if self.halfwidth is None or self.halfwidth < 0:
-                raise ValueError("band sparsity needs halfwidth >= 0")
-        elif self.halfwidth is not None:
-            raise ValueError("halfwidth only applies to band sparsity")
-        if self.kind == FIXED_COUNT:
-            if self.count is None or self.count < 1:
-                raise ValueError("fixed_count sparsity needs count >= 1")
-        elif self.count is not None:
-            raise ValueError("count only applies to fixed_count sparsity")
 
     @classmethod
     def bernoulli(cls, mu: float) -> "SparsitySpec":
-        return cls(kind=BERNOULLI, mu=mu)
-
-    @classmethod
-    def band(cls, halfwidth: int, mu: float = 1.0) -> "SparsitySpec":
-        return cls(kind=BAND, mu=mu, halfwidth=halfwidth)
-
-    @classmethod
-    def fixed_count(cls, count: int, mu: float = 1.0) -> "SparsitySpec":
-        return cls(kind=FIXED_COUNT, mu=mu, count=count)
+        return cls(mu=mu)
 
 
 @dataclass(frozen=True)
@@ -306,44 +275,35 @@ class EnsembleSpec:
 def _row_columns(sparsity: SparsitySpec, i: int, n: int, lo: int, mask_root: int) -> np.ndarray:
     """Ascending mask columns of row ``i`` at or above column ``lo``.
 
-    A Bernoulli row's mask stream holds one uniform per column, so the
-    ``lo`` uniforms before column ``lo`` are skipped with ``PCG64.advance``.
-    Masks fixed by the spec (band, or Bernoulli with ``prob >= 1``, which keeps
-    every column because uniforms lie in [0, 1)) build no stream.
+    The row's mask stream holds one uniform per column, so the ``lo`` uniforms
+    before column ``lo`` are skipped with ``PCG64.advance``.  With
+    ``prob >= 1`` every column is kept, because uniforms lie in [0, 1), and no
+    stream is built.
     """
-    if sparsity.kind == BAND:
-        w = sparsity.halfwidth
-        return np.arange(max(lo, i - w), min(n, i + w + 1))
     prob = float(n) ** (sparsity.mu - 1.0)
-    if sparsity.kind == BERNOULLI and prob >= 1.0:
+    if prob >= 1.0:
         return np.arange(lo, n)
     bitgen = np.random.PCG64(mix64(mask_root, i))
-    if sparsity.kind == BERNOULLI:
-        bitgen.advance(lo)
-        return lo + np.nonzero(np.random.Generator(bitgen).random(n - lo) < prob)[0]
-    if sparsity.count > n:
-        raise ValueError(f"fixed_count count = {sparsity.count} exceeds n = {n}")
-    cols = np.random.Generator(bitgen).choice(n, size=sparsity.count, replace=False)
-    cols.sort()
-    return cols[cols >= lo]
+    bitgen.advance(lo)
+    return lo + np.nonzero(np.random.Generator(bitgen).random(n - lo) < prob)[0]
 
 
 def sample_matrix(spec: EnsembleSpec):
     """Sample the sparse matrix described by ``spec``.
 
     Row ``i`` derives a mask stream and a value stream from the ensemble seed via
-    ``mix64``.  A Bernoulli mask stream holds one uniform per column; a
-    fixed_count row draws its columns with ``Generator.choice``.  The value
+    ``mix64``.  The mask stream holds one uniform per column.  The value
     stream holds ``n`` magnitude uniforms then ``n`` sign uniforms, and only the
     masked positions are kept.  The entry at ``(i, j)`` therefore depends only
-    on ``(seed, i, j)``, and the mask only on ``(seed, sparsity, i, j)``.
+    on ``(seed, i, j)``, and the mask only on ``(seed, mu, i, j)``.
 
     Uniforms that no kept entry uses are not generated: each float64 draw takes
     one 64-bit PCG64 output, so ``PCG64.advance`` skips the columns below a
     hermitian row's diagonal in its mask stream and, in each half of the value
-    stream, the columns outside the row's first and last kept column.  Masks
-    fixed by the spec build no stream, nor do rows with no entries.  The result
-    is bit-identical to drawing every stream in full.
+    stream, the columns outside the row's first and last kept column.  A row
+    that keeps every column (``mu = 1``) builds no mask stream, and a row with
+    no entries builds no value stream.  The result is bit-identical to drawing
+    every stream in full.
     """
     # Imported here: matrices.py needs no sampling machinery.
     from .matrices import SparseMatrix

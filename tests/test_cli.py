@@ -331,10 +331,9 @@ FLAGS_AND_INI = {
     "experiment": (
         ["--kind", "poisson", "--alpha", "1", "--mu", "1", "--n", "40",
          "--replicates", "3", "--thresholds", "0.5,2", "--master-seed", "9",
-         "--no-timing", "--sparsity", "band", "--halfwidth", "2", "--top-k", "2"],
+         "--no-timing", "--top-k", "2"],
         "kind = poisson\nalpha = 1\nmu = 1\nn = 40\nreplicates = 3\n"
-        "thresholds = 0.5, 2\nmaster-seed = 9\ntiming = no\nsparsity = band\n"
-        "halfwidth = 2\ntop_k = 2\n",
+        "thresholds = 0.5, 2\nmaster-seed = 9\ntiming = no\ntop_k = 2\n",
     ),
     "experiment-truncation": (
         ["--kind", "truncation", "--alpha", "8", "--mu", "1", "--n", "50",
@@ -405,6 +404,19 @@ def test_esd_bins_removed(tmp_path, capsys):
     code, _, err = run(capsys, ["--config", cfg, *flags])
     assert code == 1
     assert "esd_bins" in err
+
+
+def test_mask_options_removed(tmp_path, capsys):
+    # The Bernoulli mask is the only mask: --mu alone selects it.
+    flags = ["sample", "--alpha", "1", "--mu", "1", "--n", "10"]
+    code, _, err = run(capsys, [*flags, "--sparsity", "band", "--halfwidth", "2"])
+    assert code == 1
+    assert "--sparsity" in err
+    for key in ("sparsity = band", "halfwidth = 2", "count = 3"):
+        cfg = write_config(tmp_path, f"[sample]\n{key}\n")
+        code, _, err = run(capsys, ["--config", cfg, *flags])
+        assert code == 1
+        assert f"unknown key {key.split()[0]!r}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -320,11 +320,12 @@ def test_save_json_roundtrip(tmp_path):
     assert payload["kind"] == "poisson"
     assert len(payload["replicates"]) == 2
     assert payload["config"]["alpha"] == 1.0
+    assert "sparsity" not in payload["config"]  # one mask: mu is the whole spec
     # timing-free form drops elapsed_s and per-replicate time_s
     report.save_json(path, include_timing=False)
     bare = json.loads(path.read_text())
     assert "elapsed_s" not in bare
-    assert bare["format_version"] == payload["format_version"] == 2
+    assert bare["format_version"] == payload["format_version"] == 3
     assert all("time_s" not in rec for rec in bare["replicates"])
 
 

@@ -94,6 +94,19 @@ def test_validation_rejects_bad_structure():
         )
 
 
+def test_non_integer_indices_are_refused_not_truncated():
+    for bad in (np.array([1.7]), np.array([True])):
+        with pytest.raises(ValueError, match="indices must hold integers"):
+            SparseMatrix(rows=1, cols=3, indptr=np.array([0, 1]), indices=bad, values=np.array([2.0]))
+    with pytest.raises(ValueError, match="indptr must hold integers"):
+        SparseMatrix(rows=1, cols=3, indptr=np.array([0.0, 1.0]), indices=np.array([1]), values=np.array([2.0]))
+    # Integer arrays are kept in their own dtype: scipy's int32 arrays are not copied.
+    csr = csr_matrix(np.array([[0.0, 2.0, 0.0]]))
+    m = SparseMatrix(rows=1, cols=3, indptr=csr.indptr, indices=csr.indices, values=csr.data)
+    assert np.shares_memory(m.indices, csr.indices)
+    assert np.shares_memory(m.indptr, csr.indptr)
+
+
 def test_from_scipy_drops_explicit_zeros():
     raw = csr_matrix((np.array([1.0, 0.0]), np.array([0, 1]), np.array([0, 2])), shape=(1, 2))
     m = SparseMatrix.from_scipy(raw)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.sparse import coo_matrix
 
+from htspec.experiments import REPORT_FORMAT_VERSION
 from htspec.matrices import SparseMatrix
 from htspec.seeding import mix64
 from htspec.tails import (
@@ -173,12 +175,6 @@ def test_sparsity_validation():
         SparsitySpec.bernoulli(-0.1)
     with pytest.raises(ValueError):
         SparsitySpec.bernoulli(1.2)
-    with pytest.raises(ValueError):
-        SparsitySpec.band(-1)
-    with pytest.raises(ValueError):
-        SparsitySpec.fixed_count(0)
-    with pytest.raises(ValueError):
-        SparsitySpec(kind="bernoulli", mu=0.5, halfwidth=3)  # stray parameter
 
 
 # ---------------------------------------------------------------------------
@@ -292,47 +288,13 @@ def test_hermitian_rejects_rho():
         )
 
 
-def test_band_sparsity():
-    law = TailLaw(alpha=1.0)
-    spec = EnsembleSpec(
-        shape="hermitian", n=60, law=law,
-        sparsity=SparsitySpec.band(3), seed=1,
-    )
-    m = sample_matrix(spec)
-    rows = m.row_index_of_entries()
-    assert np.all(np.abs(rows - m.indices) <= 3)
-    assert m.nnz > 0
-
-
-def test_fixed_count_sparsity():
-    law = TailLaw(alpha=1.0)
-    spec = EnsembleSpec(
-        shape="rectangular", n=80, law=law,
-        sparsity=SparsitySpec.fixed_count(5), seed=2,
-    )
-    m = sample_matrix(spec)
-    counts = np.diff(m.indptr)
-    np.testing.assert_array_equal(counts, np.full(80, 5))
-    # columns within a row must be distinct (strictly increasing in CSR)
-    for i in range(m.rows):
-        row = m.indices[m.indptr[i]:m.indptr[i + 1]]
-        assert np.all(np.diff(row) > 0)
-
-
 # ---------------------------------------------------------------------------
 # oracle: the sampler as a plain per-row loop that draws every stream in full
 
 
-def _reference_mask_columns(sparsity, i, n, rng):
-    if sparsity.kind == "bernoulli":
-        prob = float(n) ** (sparsity.mu - 1.0)
-        return np.nonzero(rng.random(n) < prob)[0]
-    if sparsity.kind == "band":
-        w = sparsity.halfwidth
-        return np.arange(max(0, i - w), min(n, i + w + 1))
-    cols = rng.choice(n, size=sparsity.count, replace=False)
-    cols.sort()
-    return cols
+def _reference_mask_columns(sparsity, n, rng):
+    prob = float(n) ** (sparsity.mu - 1.0)
+    return np.nonzero(rng.random(n) < prob)[0]
 
 
 def _reference_sample_matrix(spec):
@@ -344,7 +306,7 @@ def _reference_sample_matrix(spec):
     row_idx, col_idx, vals = [], [], []
     for i in range(p):
         mask_rng = np.random.Generator(np.random.PCG64(mix64(mask_root, i)))
-        cols = _reference_mask_columns(sparsity, i, n, mask_rng)
+        cols = _reference_mask_columns(sparsity, n, mask_rng)
         if hermitian:
             cols = cols[cols >= i]
         value_rng = np.random.Generator(np.random.PCG64(mix64(value_root, i)))
@@ -390,14 +352,7 @@ def ensemble_specs(draw, shape=None):
     rho = 1.0
     if shape == "rectangular":
         rho = draw(st.integers(1, n)) / n
-    mu = draw(st.sampled_from([0.0, 0.3, 1.0]))
-    kind = draw(st.sampled_from(["bernoulli", "band", "fixed_count"]))
-    if kind == "bernoulli":
-        sparsity = SparsitySpec.bernoulli(mu)
-    elif kind == "band":
-        sparsity = SparsitySpec.band(draw(st.integers(0, 5)), mu)
-    else:
-        sparsity = SparsitySpec.fixed_count(draw(st.integers(1, n)), mu)
+    sparsity = SparsitySpec.bernoulli(draw(st.sampled_from([0.0, 0.3, 1.0])))
     law = draw(st.sampled_from(ORACLE_LAWS))
     seed = draw(st.integers(0, 2**64 - 1))
     return EnsembleSpec(shape=shape, n=n, law=law, sparsity=sparsity, seed=seed, rho=rho)
@@ -410,8 +365,6 @@ def _spec(shape, n, sparsity, seed=3, law=ORACLE_LAWS[0], rho=1.0):
 @settings(max_examples=300, deadline=None)
 @given(ensemble_specs())
 @example(_spec("rectangular", 1, SparsitySpec.bernoulli(0.3)))
-@example(_spec("hermitian", 1, SparsitySpec.fixed_count(1)))
-@example(_spec("hermitian", 1, SparsitySpec.band(0), law=ORACLE_LAWS[3]))
 # mu = 0 keeps each position with probability 1/n: many rows are empty
 @example(_spec("rectangular", 30, SparsitySpec.bernoulli(0.0), law=ORACLE_LAWS[2]))
 @example(_spec("hermitian", 30, SparsitySpec.bernoulli(0.0), law=ORACLE_LAWS[4]))
@@ -437,3 +390,24 @@ def test_sample_matrix_rows_are_a_prefix(spec):
     np.testing.assert_array_equal(part.indptr, full.indptr[: p + 1])
     np.testing.assert_array_equal(part.indices, full.indices[:end])
     np.testing.assert_array_equal(part.values, full.values[:end])
+
+
+# sha256 of the indptr, indices and values of three fixed draws, keyed by report
+# format version.  A change to the sampled streams must bump
+# REPORT_FORMAT_VERSION and add its digest here; the streams did not change
+# between versions 2 and 3.
+STREAM_DIGESTS = {
+    2: "58e29e1769ad5593b03c2d9556f43ad2a27f99f7b7ecb0dc2229b696ffe33c4e",
+    3: "58e29e1769ad5593b03c2d9556f43ad2a27f99f7b7ecb0dc2229b696ffe33c4e",
+}
+
+
+def test_sampled_streams_are_pinned_to_the_report_format_version():
+    # At alpha = 1 the quantile is 1/u, so the bytes do not depend on the
+    # platform's pow; index arrays are hashed as int64 whatever scipy stores.
+    digest = hashlib.sha256()
+    for shape, mu in (("rectangular", 0.5), ("hermitian", 0.5), ("rectangular", 1.0)):
+        m = sample_matrix(_spec(shape, 64, SparsitySpec.bernoulli(mu), seed=7))
+        for arr, dtype in ((m.indptr, "<i8"), (m.indices, "<i8"), (m.values, "<f8")):
+            digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    assert digest.hexdigest() == STREAM_DIGESTS.get(REPORT_FORMAT_VERSION)
