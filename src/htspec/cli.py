@@ -271,6 +271,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     if args.infile is not None:
         m = load_matrix_csv(args.infile, symmetric=args.symmetric)
     else:

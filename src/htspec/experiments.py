@@ -16,8 +16,7 @@ tolerance it was calibrated at.
 Replicate ``r`` of a run draws everything from
 ``derive_replicate_seed(master_seed, r)``; reports are therefore a pure
 function of their configuration, byte-identical across runs and worker
-schedules once timing fields are stripped.  The worker count is capped by
-the ``HTSPEC_WORKERS`` environment variable and by the CPU count.
+schedules once timing fields are stripped.
 
 Exact algebraic facts (Rayleigh lower bound, norm product upper bound,
 triangle inequality of a truncation split) are asserted inline on every
@@ -79,6 +78,9 @@ from .tails import (
     sample_matrix,
 )
 
+# Not read by the package: the replicate pool follows the solver route.
+# bench/child.py's provenance() still reads this name on every pass; delete
+# it together with that read, when the harness next changes.
 WORKERS_ENV = "HTSPEC_WORKERS"
 # Bumped whenever report bytes change; reports without the field are version 1.
 REPORT_FORMAT_VERSION = 3
@@ -107,22 +109,11 @@ def derive_replicate_seed(master_seed: int, r: int) -> int:
     return mix64(master_seed, r)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{WORKERS_ENV} must be an integer: {raw!r}") from exc
-        if value < 1:
-            raise ValueError(f"{WORKERS_ENV} must be >= 1: {value}")
-        return value
-    return os.cpu_count() or 1
-
-
-def _map_replicates(fn, count: int) -> list:
-    # More threads than CPUs only add contention for the interpreter lock.
-    workers = min(_worker_count(), os.cpu_count() or 1, count)
+def _map_replicates(fn, count: int, dense: bool = False) -> list:
+    # A dense eigh already spreads over every CPU through BLAS, so dense
+    # replicates run one at a time.  Sampling and Lanczos hold the interpreter
+    # lock, so other routes take one thread per CPU and no more.
+    workers = 1 if dense else min(os.cpu_count() or 1, count)
     if workers <= 1:
         return [fn(r) for r in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -400,6 +391,10 @@ def _median(values: list[float]) -> float:
     return float(np.median(values)) if values else math.nan
 
 
+def _mean(values: list[float]) -> float:
+    return float(np.mean(values)) if values else math.nan
+
+
 def _check_regime(cfg: ExperimentConfig, name: str, shape: str, wanted: str | None = None) -> str:
     """Regime of ``cfg`` once the run's guards pass: the ensemble ``shape``,
     not the critical line, ``wanted`` when given, and in the edge regime a
@@ -641,7 +636,7 @@ def run_poisson_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "count_test": count_records,
         "median_basis_dist_1": _median(dist1),
         "basis_dist_freq_02": loc_freq,
-        "mean_residual_1": float(np.mean([rec.residuals[0] for rec in records])),
+        "mean_residual_1": _mean([rec.residuals[0] for rec in records if rec.residuals]),
         "ambiguous_count": int(sum(rec.ambiguous for rec in records)),
         "interlacing_spot": spot,
     }
@@ -674,11 +669,11 @@ def run_edge_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     reg = cfg.regime
     kind = _covariance_kind(reg, _mass_fields, dense=reg.p <= DENSE_DIM_LIMIT)
-    records = _map_replicates(lambda r: _replicate(cfg, kind, r), cfg.replicates)
+    records = _map_replicates(lambda r: _replicate(cfg, kind, r), cfg.replicates, kind.dense)
 
     mean_edge1 = float(np.mean([rec.ratios["edge"][0] for rec in records]))
     ks_values = [rec.extra["ks_mp"] for rec in records if rec.extra["ks_mp"] is not None]
-    mean_ks = float(np.mean(ks_values)) if ks_values else math.nan
+    mean_ks = _mean(ks_values)
     spot = _interlacing_spot(cfg)
     edge_const = (1.0 + math.sqrt(reg.rho)) ** 2
 

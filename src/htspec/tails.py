@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .seeding import MASK64, mix64
 
@@ -195,6 +194,9 @@ def variance_unstandardized(law: TailLaw) -> float:
     t0 = float(_quantile_raw(law, np.atleast_1d(np.float64(1.0)))[0])
     if law.sv_kind == SV_CONSTANT:
         return t0 * t0 + 2.0 * law.sv_c * t0 ** (2.0 - law.alpha) / (law.alpha - 2.0)
+    # Imported here: only this branch needs it, and it loads scipy.optimize too.
+    from scipy import integrate
+
     integral, _ = integrate.quad(
         lambda t: 2.0 * t * float(_tail_uncapped(law, np.float64(t))),
         t0,

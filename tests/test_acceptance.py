@@ -8,6 +8,7 @@ the library reports in experiment verdicts.
 
 import hashlib
 import math
+import os
 import time
 
 import numpy as np
@@ -15,7 +16,6 @@ import pytest
 
 from htspec.cli import main
 from htspec.experiments import (
-    WORKERS_ENV,
     make_config,
     run_edge_experiment,
     run_hermitian_experiment,
@@ -199,11 +199,11 @@ def test_reproducibility_and_exit_codes(monkeypatch, tmp_path, capsys):
         alpha=1.0, mu=1.0, n=120, replicates=10, top_k=3, master_seed=MASTER_SEED
     )
     digests = []
-    for workers in ("1", "3", "1"):
-        monkeypatch.setenv(WORKERS_ENV, workers)
+    for cpus in (1, 3, 1):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         payload = run_poisson_experiment(cfg).to_json(include_timing=False)
         digests.append(hashlib.sha256(payload.encode()).hexdigest())
-    monkeypatch.delenv(WORKERS_ENV)
+    monkeypatch.undo()
     same = len(set(digests)) == 1
     with capsys.disabled():
         print(f"[{'PASS' if same else 'FAIL'}] report digest stable across "

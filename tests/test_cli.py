@@ -152,6 +152,18 @@ def test_spectrum_k_too_large(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("solver", ["lanczos", "dense"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_spectrum_k_below_one_rejected(capsys, solver, k):
+    code, out, err = run(
+        capsys,
+        ["spectrum", "--alpha", "1", "--mu", "1", "--n", "6", "--solver", solver, "--k", k],
+    )
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
 def test_spectrum_missing_file(capsys):
     code, _, err = run(capsys, ["spectrum", "--in", "/nonexistent/m.csv"])
     assert code == 1

@@ -21,9 +21,7 @@ from htspec.experiments import (
     run_truncation_experiment,
     sweep_to_csv,
     truncation_window,
-    WORKERS_ENV,
     _map_replicates,
-    _worker_count,
 )
 from htspec.limits import EDGE, POISSONIAN, RegimeParams
 from htspec.seeding import mix64
@@ -57,21 +55,7 @@ def test_derive_replicate_seed_is_mix64():
         assert derive_replicate_seed(master, r) == mix64(master, r)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert _worker_count() == 3
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    with pytest.raises(ValueError):
-        _worker_count()
-    monkeypatch.setenv(WORKERS_ENV, "many")
-    with pytest.raises(ValueError):
-        _worker_count()
-    monkeypatch.delenv(WORKERS_ENV)
-    assert _worker_count() >= 1
-
-
 def test_replicate_pool_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "64")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def replicate(r):
@@ -81,6 +65,21 @@ def test_replicate_pool_capped_at_cpu_count(monkeypatch):
     out = _map_replicates(replicate, 8)
     assert [r for r, _ in out] == list(range(8))
     assert len({ident for _, ident in out}) <= 2
+
+
+def test_dense_edge_run_starts_no_thread(monkeypatch):
+    # The dense route runs its replicates on the calling thread whatever the
+    # CPU count, and HTSPEC_WORKERS is not read.
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    serial = payload(RUNS["edge"]())
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("HTSPEC_WORKERS", "0")
+
+    def refuse(self):
+        raise AssertionError("the dense route started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert payload(RUNS["edge"]()) == serial
 
 
 RUNS = {
@@ -102,8 +101,8 @@ def payload(out) -> str:
 def test_reports_identical_across_worker_counts(monkeypatch):
     for name, run in RUNS.items():
         payloads = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv(WORKERS_ENV, workers)
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             payloads.append(payload(run()))
         assert payloads[0] == payloads[1], name
 
@@ -255,6 +254,20 @@ def test_poisson_small_run():
     # points are the top eigenvalues on the c_np^2 scale
     rec = report.records[0]
     assert rec.points[0] == pytest.approx(rec.eigs[0] / agg["c_np"] ** 2)
+
+
+def test_poisson_run_with_empty_replicates():
+    # At mu = 0 and n = 3, replicates 0, 11 and 17 of seed 1 store no entry.
+    cfg = poisson_cfg(mu=0.0, n=3, replicates=20, top_k=1, master_seed=1)
+    report = run_poisson_experiment(cfg)
+    empty = [rec.r for rec in report.records if not rec.entries]
+    assert empty == [0, 11, 17]
+    kept = [rec.residuals[0] for rec in report.records if rec.entries]
+    assert report.aggregates["mean_residual_1"] == pytest.approx(np.mean(kept))
+    # With only replicate 0 nothing is ranked, and the mean is null in JSON.
+    report = run_poisson_experiment(replace(cfg, replicates=1))
+    assert math.isnan(report.aggregates["mean_residual_1"])
+    assert json.loads(report.to_json())["aggregates"]["mean_residual_1"] is None
 
 
 def test_edge_small_run_dense_path():

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.sparse import coo_matrix
 
+import htspec
 from htspec.experiments import REPORT_FORMAT_VERSION
 from htspec.matrices import SparseMatrix
 from htspec.seeding import mix64
@@ -108,6 +113,17 @@ def test_variance_log_power_against_quad():
     s = law.support_min
     ref = s**2 * g(s) + quad(lambda t: 2 * t * g(t), s, np.inf, limit=400)[0]
     assert variance_unstandardized(law) == pytest.approx(ref, rel=1e-8)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # Only the log-power branch of variance_unstandardized integrates.
+    src = str(Path(htspec.__file__).resolve().parents[1])
+    probe = "import sys, htspec; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_variance_requires_alpha_above_two():
