@@ -20,7 +20,6 @@ from .tails import (
     EnsembleSpec,
     SparsitySpec,
     TailLaw,
-    sample_entries,
     sample_matrix,
 )
 from .matrices import (
@@ -70,7 +69,6 @@ from .spectral import (
     top_eigs,
 )
 from .stats import (
-    Ecdf,
     esd,
     ks_statistic,
     poisson_count_test,
@@ -97,7 +95,6 @@ __all__ = [
     "TailLaw",
     "SparsitySpec",
     "EnsembleSpec",
-    "sample_entries",
     "sample_matrix",
     "SV_CONSTANT",
     "SV_LOG_POWER",
@@ -141,7 +138,6 @@ __all__ = [
     "INTERLACE_HERMITIAN_MINOR",
     "INTERLACE_ROW_DELETION",
     "INTERLACE_COL_DELETION",
-    "Ecdf",
     "ks_statistic",
     "esd",
     "poisson_count_test",

@@ -280,7 +280,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.solver == SOLVER_DENSE:
         dense = m.to_dense()
         target = dense if m.symmetric else dense @ dense.T
-        result = eig_dense_symmetric(target, dense_limit=max(target.shape[0], 1))
+        result = eig_dense_symmetric(target)
         k = min(args.k, result.eigenvalues.size)
         result = replace(
             result,

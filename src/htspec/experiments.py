@@ -812,7 +812,6 @@ def _truncation_replicate(
     t0 = time.perf_counter()
     m = sample_matrix(_ensemble(cfg, r))
     entries, _ = top_entries(m, 1)
-    top_mag = entries[0].magnitude
     m_hat, m_prime = truncate_split(m, level)
     hat_norm = float(_solve(cfg, m_hat, r, 1)[0].eigenvalues[0]) if m_hat.nnz else 0.0
     inf_full, one_full = norms(m)
@@ -823,9 +822,10 @@ def _truncation_replicate(
             f"triangle inequality violated by truncation split: "
             f"{inf_hat} + {inf_prime} < {inf_full}"
         )
+    # m_prime is empty whenever m is, so entries[0] exists when defined.
     defined = m_prime.nnz > 0
-    ratio_inf = inf_prime / top_mag if defined else math.nan
-    ratio_one = one_prime / top_mag if defined else math.nan
+    ratio_inf = inf_prime / entries[0].magnitude if defined else math.nan
+    ratio_one = one_prime / entries[0].magnitude if defined else math.nan
     return ReplicateRecord(
         r=r,
         eigs=[hat_norm],
@@ -985,14 +985,16 @@ def sweep_to_csv(sweep: dict, path) -> None:
 _VERIFY_ALPHAS = (0.8, 1.0, 1.6, 2.5, 4.0, 8.0)
 _VERIFY_MUS = (0.0, 0.4, 0.7, 1.0)
 _VERIFY_RHOS = (0.4, 0.7, 1.0)
+# Column dimensions of the suite's rectangular instances lie in [3, 40].
+_VERIFY_SIZE_CAP = 40
 
 
-def _verify_spec(seed: int, idx: int, size_cap: int) -> EnsembleSpec:
+def _verify_spec(seed: int, idx: int) -> EnsembleSpec:
     s = mix64(seed, idx)
     alpha = _VERIFY_ALPHAS[s % len(_VERIFY_ALPHAS)]
     mu = _VERIFY_MUS[(s >> 8) % len(_VERIFY_MUS)]
     rho = _VERIFY_RHOS[(s >> 16) % len(_VERIFY_RHOS)]
-    n = 3 + (s >> 24) % (size_cap - 2)
+    n = 3 + (s >> 24) % (_VERIFY_SIZE_CAP - 2)
     law = TailLaw(alpha=alpha)
     return EnsembleSpec(
         shape=RECTANGULAR,
@@ -1005,10 +1007,11 @@ def _verify_spec(seed: int, idx: int, size_cap: int) -> EnsembleSpec:
 
 
 def run_invariant_suite(
-    seed: int = 20240801, instances: int = 500, lemma_instances: int = 100,
-    size_cap: int = 40,
+    seed: int = 20240801, instances: int = 500, lemma_instances: int = 100
 ) -> dict:
-    """Exercise every exact checker on randomized small ensembles.
+    """Exercise every exact checker on randomized small ensembles:
+    ``instances`` rectangular matrices with ``n <= 40`` and ``lemma_instances``
+    symmetric ones with ``n <= 12``, both at least 1.
 
     Counts violations of: the Rayleigh lower bound and norm-product upper
     bound for the top Gram eigenvalue (``_gram_sandwich``, dense solver);
@@ -1017,6 +1020,10 @@ def run_invariant_suite(
     principal-submatrix bound for localized eigenvectors on brute-forced
     symmetric instances.  All counts must be zero.
     """
+    if instances < 1 or lemma_instances < 1:
+        raise ValueError(
+            f"instances and lemma_instances must be >= 1: {instances}, {lemma_instances}"
+        )
     t0 = time.perf_counter()
     counts = {
         "rayleigh_lower_bound": 0,
@@ -1030,7 +1037,7 @@ def run_invariant_suite(
     }
     gap_bound_evaluated = 0
     for idx in range(instances):
-        spec = _verify_spec(seed, idx, size_cap)
+        spec = _verify_spec(seed, idx)
         m = sample_matrix(spec)
         dense = m.to_dense()
         sigma = dense @ dense.T
@@ -1085,7 +1092,7 @@ def run_invariant_suite(
         which = (s >> 16) % dim
         L = 1 + (s >> 24) % 3
         v = result.eigenvectors[:, which]
-        mass = float(np.sum(np.sort(v * v)[::-1][:L]))
+        mass = float(localization_profile(v)[L - 1])
         eta = min(0.999, 1.0 - mass + 0.05)
         report = localization_bound_check(dense, float(result.eigenvalues[which]), v, L, eta)
         if not (report["holds"] and report["preconditions_ok"]):

@@ -36,20 +36,15 @@ def localization_profile(v: np.ndarray) -> np.ndarray:
 
 def is_localized(v: np.ndarray, L: int, eta: float) -> bool:
     """True when the ``L`` largest squared coordinates of unit ``v`` sum above
-    ``1 - eta``."""
-    v = _check_unit(v)
+    ``1 - eta``: entry ``L-1`` of the mass curve."""
+    curve = localization_profile(v)
     if not isinstance(L, int) or L < 1:
         raise ValueError(f"L must be a positive integer: {L!r}")
-    if L > v.size:
-        raise ValueError(f"L = {L} exceeds dimension {v.size}")
+    if L > curve.size:
+        raise ValueError(f"L = {L} exceeds dimension {curve.size}")
     if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
         raise ValueError(f"eta must lie in (0, 1]: {eta!r}")
-    sq = v * v
-    if L == v.size:
-        mass = float(np.sum(sq))
-    else:
-        mass = float(np.sum(np.partition(sq, v.size - L)[v.size - L:]))
-    return mass > 1.0 - eta
+    return float(curve[L - 1]) > 1.0 - eta
 
 
 def distance_to_basis_vector(v: np.ndarray, i: int) -> float:

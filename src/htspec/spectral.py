@@ -78,15 +78,14 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def eig_dense_symmetric(a: np.ndarray, dense_limit: int = DENSE_DIM_LIMIT) -> SpectralResult:
-    """Full spectrum of a symmetric matrix, descending, via the dense
-    tridiagonalization + implicit-shift path (LAPACK).  Oracle route."""
+def eig_dense_symmetric(a: np.ndarray) -> SpectralResult:
+    """Full spectrum of a dense symmetric matrix, descending, via the dense
+    tridiagonalization + implicit-shift path (LAPACK).  Oracle route; the
+    caller decides whether the dimension is small enough to go dense."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     dim = a.shape[0]
-    if dim > dense_limit:
-        raise ValueError(f"dimension {dim} exceeds dense limit {dense_limit}")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if asym > 1e-12 * scale:
@@ -264,43 +263,24 @@ def top_eigs(
     )
 
 
-def _singular_values(obj) -> np.ndarray:
-    if isinstance(obj, SparseMatrix):
-        obj = obj.to_dense()
-    arr = np.asarray(obj, dtype=np.float64)
-    if arr.ndim == 1:
-        return np.sort(arr)[::-1]
-    return np.linalg.svd(arr, compute_uv=False)
-
-
-def _hermitian_values(obj) -> np.ndarray:
-    if isinstance(obj, SpectralResult):
-        return np.asarray(obj.eigenvalues, dtype=np.float64)
-    if isinstance(obj, SparseMatrix):
-        obj = obj.to_dense()
-    arr = np.asarray(obj, dtype=np.float64)
-    if arr.ndim == 1:
-        return np.sort(arr)[::-1]
-    return np.sort(np.linalg.eigvalsh(0.5 * (arr + arr.T)))[::-1]
-
-
 def check_interlacing(parent, minor, mode: str) -> dict:
     """Verify a Cauchy interlacing chain; returns ``{"holds", "max_violation"}``.
 
     ``hermitian_minor``: eigenvalues of a symmetric matrix and a principal
     minor one smaller interlace.  ``row_deletion`` / ``col_deletion``: singular
     values of a ``p x n`` matrix and of the matrix with one row (column)
-    removed satisfy ``s_i(A) >= s_i(A') >= s_{i+1}(A)``.  Inputs may be
-    matrices (dense or sparse) or precomputed value arrays; ``hermitian_minor``
-    also accepts :class:`SpectralResult`.  Tolerance is ``1e-9`` relative to
-    the largest parent value.
+    removed satisfy ``s_i(A) >= s_i(A') >= s_{i+1}(A)``.  Both inputs are
+    dense 2-d arrays; the values are computed here.  Tolerance is ``1e-9``
+    relative to the largest parent value.
     """
+    parent = np.asarray(parent, dtype=np.float64)
+    minor = np.asarray(minor, dtype=np.float64)
     if mode == INTERLACE_HERMITIAN_MINOR:
-        big = _hermitian_values(parent)
-        small = _hermitian_values(minor)
+        big = np.sort(np.linalg.eigvalsh(0.5 * (parent + parent.T)))[::-1]
+        small = np.sort(np.linalg.eigvalsh(0.5 * (minor + minor.T)))[::-1]
     elif mode in (INTERLACE_ROW_DELETION, INTERLACE_COL_DELETION):
-        big = _singular_values(parent)
-        small = _singular_values(minor)
+        big = np.linalg.svd(parent, compute_uv=False)
+        small = np.linalg.svd(minor, compute_uv=False)
     else:
         raise ValueError(f"unknown interlacing mode: {mode!r}")
     if small.size != big.size - 1 and mode == INTERLACE_HERMITIAN_MINOR:
@@ -340,20 +320,15 @@ class PerturbationCheck:
 def perturbation_check(a, v: np.ndarray, spectrum: SpectralResult) -> PerturbationCheck:
     """Evaluate the enclosure above for unit ``v`` against a complete spectrum.
 
-    ``a`` may be dense symmetric, a symmetric :class:`SparseMatrix`, or a
-    rectangular one (then the operator is its Gram matrix).  The spectrum must
-    be complete; the eigenvector part is skipped when the spectrum carries no
-    vectors.
+    ``a`` is a dense symmetric matrix, such as a Gram matrix ``M M^T``.  The
+    spectrum must be complete; the eigenvector part is skipped when the
+    spectrum carries no vectors.
     """
     v = np.asarray(v, dtype=np.float64)
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"probe vector must be unit norm: |v| = {nrm}")
-    if isinstance(a, SparseMatrix):
-        apply_op, _ = _operator(a)
-        av = apply_op(v)
-    else:
-        av = np.asarray(a, dtype=np.float64) @ v
+    av = np.asarray(a, dtype=np.float64) @ v
     if av.shape != v.shape:
         raise ValueError("probe vector length does not match the operator")
     dim = v.size

@@ -7,39 +7,10 @@ replicates is reproducible regardless of how the replicates were scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .limits import mp_cdf, pp_mean_count
-
-# One-sided ~95% critical value of sqrt(n) * D_n for the Kolmogorov-Smirnov
-# statistic under the null; approximate, documented as such wherever used.
-KS_CRIT_95 = 1.95
-
-
-@dataclass(frozen=True)
-class Ecdf:
-    """Right-continuous empirical distribution function."""
-
-    sorted_samples: np.ndarray
-    n: int
-
-    @classmethod
-    def from_samples(cls, samples) -> "Ecdf":
-        arr = np.asarray(samples, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("samples must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-        return cls(sorted_samples=np.sort(arr), n=int(arr.size))
-
-    def __call__(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        scalar = arr.ndim == 0
-        counts = np.searchsorted(self.sorted_samples, np.atleast_1d(arr), side="right")
-        out = counts / self.n
-        return float(out[0]) if scalar else out
 
 
 def ks_statistic(samples, cdf) -> float:

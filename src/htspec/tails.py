@@ -208,18 +208,6 @@ def variance_unstandardized(law: TailLaw) -> float:
     return t0 * t0 + integral
 
 
-def sample_entries(law: TailLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` i.i.d. entries: sign * quantile_abs(U), U uniform on (0, 1].
-
-    Stream layout per call: ``size`` magnitude uniforms, then ``size`` sign
-    uniforms.
-    """
-    u = 1.0 - rng.random(size)
-    mags = _quantile_raw(law, u) / _sigma(law)
-    signs = np.where(rng.random(size) < 0.5, 1.0, -1.0)
-    return signs * mags
-
-
 @dataclass(frozen=True)
 class SparsitySpec:
     """Bernoulli mask: each position is kept independently with probability

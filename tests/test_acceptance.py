@@ -79,7 +79,7 @@ def test_lanczos_dense_cross_check_battery():
         got = top_eigs(m, k, tol=1e-11, seed=mix64(s, 2))
         dense = m.to_dense()
         target = dense if shape == "hermitian" else dense @ dense.T
-        want = eig_dense_symmetric(target, dense_limit=target.shape[0])
+        want = eig_dense_symmetric(target)
         scale = max(1.0, abs(float(want.eigenvalues[0])))
         if np.max(np.abs(got.eigenvalues - want.eigenvalues[:k])) > 1e-8 * scale:
             value_failures.append(case)

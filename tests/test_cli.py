@@ -469,3 +469,11 @@ def test_verify_small(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["pass"] is True
     assert "elapsed_s" not in payload
+
+
+def test_verify_counts_below_one_rejected(capsys):
+    for argv in (["--instances", "-3", "--lemma-instances", "-1"], ["--instances", "0"],
+                 ["--lemma-instances", "0"]):
+        code, out, err = run(capsys, ["verify", *argv])
+        assert code == 1, argv
+        assert "[PASS]" not in out and ">= 1" in err

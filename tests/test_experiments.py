@@ -317,6 +317,22 @@ def test_truncation_defaults_applied():
     assert report.aggregates["gamma_prime"] == pytest.approx(gp)
 
 
+def test_truncation_run_with_empty_replicates():
+    # At mu = 0.1 and n = 3 some replicates store no entry; their large part
+    # is empty too, so the ratios are NaN and the verdict counts a failure.
+    cfg = edge_cfg(mu=0.1, n=3, replicates=200, top_k=1, master_seed=1)
+    report = run_truncation_experiment(cfg)
+    empty = [rec for rec in report.records if not rec.entries]
+    assert empty
+    for rec in empty:
+        assert rec.extra["mprime_nnz"] == 0
+        assert math.isnan(rec.extra["ratio_inf"]) and math.isnan(rec.extra["ratio_one"])
+    agg = report.aggregates
+    assert agg["undefined_count"] >= len(empty)
+    assert agg["ratio_inf_freq_12"] <= 1.0 - len(empty) / 200
+    assert json.loads(report.to_json())["replicates"][empty[0].r]["extra"]["ratio_inf"] is None
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 
@@ -403,7 +419,7 @@ def test_phase_sweep_separates_regimes():
 
 
 def test_invariant_suite_small():
-    out = run_invariant_suite(seed=123, instances=25, lemma_instances=10, size_cap=20)
+    out = run_invariant_suite(seed=123, instances=25, lemma_instances=10)
     assert out["pass"]
     names = {c["name"] for c in out["checks"]}
     assert names == {
@@ -420,3 +436,9 @@ def test_invariant_suite_small():
     assert out["gap_bound_evaluated"] > 0
     lemma = next(c for c in out["checks"] if c["name"] == "localized_submatrix_bound")
     assert lemma["instances"] == 10
+
+
+def test_invariant_suite_refuses_counts_below_one():
+    for instances, lemma_instances in ((0, 10), (-3, 10), (25, 0), (-3, -1)):
+        with pytest.raises(ValueError, match=">= 1"):
+            run_invariant_suite(seed=123, instances=instances, lemma_instances=lemma_instances)

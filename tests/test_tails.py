@@ -26,7 +26,6 @@ from htspec.tails import (
     _quantile_raw,
     _sigma,
     quantile_abs,
-    sample_entries,
     sample_matrix,
     tail,
     variance_unstandardized,
@@ -138,10 +137,21 @@ def test_standardize_requires_alpha_above_two():
         TailLaw(alpha=1.0, standardize=True)
 
 
+def full_draw_entries(law, n, seed):
+    """The ``n * n`` entries of a ``mu = 1``, ``rho = 1`` draw: every position
+    is kept, so these are ``n^2`` i.i.d. draws from ``law`` made by the
+    sampler's own entry transform."""
+    m = sample_matrix(EnsembleSpec(
+        shape="rectangular", n=n, law=law,
+        sparsity=SparsitySpec.bernoulli(1.0), seed=seed,
+    ))
+    assert m.nnz == n * n
+    return m.values
+
+
 def test_standardized_unit_variance():
     law = TailLaw(alpha=4.0, standardize=True)
-    rng = np.random.Generator(np.random.PCG64(5))
-    x = sample_entries(law, rng, 400_000)
+    x = full_draw_entries(law, 633, 5)  # 400,689 entries
     # second moment 1 within 4 standard errors (E x^4 finite: alpha = 4 with
     # raw sigma^2 = 2 gives Var(x^2) = E x^4 - 1; estimate E x^4 empirically)
     se = np.std(x**2) / math.sqrt(x.size)
@@ -150,8 +160,7 @@ def test_standardized_unit_variance():
 
 def test_sample_distribution_matches_tail():
     law = TailLaw(alpha=1.0)
-    rng = np.random.Generator(np.random.PCG64(123))
-    x = sample_entries(law, rng, 1_000_000)
+    x = full_draw_entries(law, 1000, 123)  # 10^6 entries
     for t in (2.0, 10.0, 100.0):
         p = tail(law, t)
         observed = np.mean(np.abs(x) > t)
@@ -161,8 +170,7 @@ def test_sample_distribution_matches_tail():
 
 def test_sample_signs_symmetric():
     law = TailLaw(alpha=0.8)
-    rng = np.random.Generator(np.random.PCG64(77))
-    x = sample_entries(law, rng, 500_000)
+    x = full_draw_entries(law, 708, 77)  # 501,264 entries
     assert abs(np.mean(x > 0) - 0.5) <= 4 * 0.5 / math.sqrt(x.size)
     assert np.all(x != 0.0)
     assert np.all(np.abs(x) >= law.support_min)
