@@ -56,9 +56,6 @@ from .localization import (
     localization_profile,
 )
 from .spectral import (
-    INTERLACE_COL_DELETION,
-    INTERLACE_HERMITIAN_MINOR,
-    INTERLACE_ROW_DELETION,
     PerturbationCheck,
     SpectralResult,
     check_interlacing,
@@ -135,9 +132,6 @@ __all__ = [
     "perturbation_check",
     "principal_subradius",
     "localization_bound_check",
-    "INTERLACE_HERMITIAN_MINOR",
-    "INTERLACE_ROW_DELETION",
-    "INTERLACE_COL_DELETION",
     "ks_statistic",
     "esd",
     "poisson_count_test",

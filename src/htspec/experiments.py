@@ -56,9 +56,6 @@ from .matrices import SparseMatrix, norms, top_entries, truncate_split
 from .seeding import mix64
 from .spectral import (
     DENSE_DIM_LIMIT,
-    INTERLACE_COL_DELETION,
-    INTERLACE_HERMITIAN_MINOR,
-    INTERLACE_ROW_DELETION,
     SOLVER_DENSE,
     check_interlacing,
     eig_dense_symmetric,
@@ -423,16 +420,18 @@ def _check_regime(cfg: ExperimentConfig, name: str, shape: str, wanted: str | No
 def _interlacing_spot(cfg: ExperimentConfig) -> dict:
     """Deterministically chosen replicate gets a full interlacing verification."""
     r_star = mix64(cfg.master_seed, _SPOT_REPLICATE_TAG) % cfg.replicates
-    m = sample_matrix(_ensemble(cfg, r_star))
-    dense = m.to_dense()
+    dense = sample_matrix(_ensemble(cfg, r_star)).to_dense()
     idx = mix64(cfg.master_seed, _SPOT_INDEX_TAG) % dense.shape[0]
+    keep = np.arange(dense.shape[0]) != idx
     if cfg.shape == HERMITIAN:
-        mode = INTERLACE_HERMITIAN_MINOR
-        minor = np.delete(np.delete(dense, idx, axis=0), idx, axis=1)
+        mode = "hermitian_minor"
+        big = np.linalg.eigvalsh(dense)
+        small = np.linalg.eigvalsh(dense[np.ix_(keep, keep)])
     else:
-        mode = INTERLACE_ROW_DELETION
-        minor = np.delete(dense, idx, axis=0)
-    result = check_interlacing(dense, minor, mode)
+        mode = "row_deletion"
+        big = np.linalg.svd(dense, compute_uv=False)
+        small = np.linalg.svd(dense[keep], compute_uv=False)
+    result = check_interlacing(big, small)
     return {"replicate": int(r_star), "deleted": int(idx), "mode": mode, **result}
 
 
@@ -1048,17 +1047,19 @@ def run_invariant_suite(
 
         s = mix64(seed, 10 ** 7 + idx)
         p, n = dense.shape
-        if p >= 2:
-            cut = s % p
-            minor = np.delete(np.delete(sigma, cut, axis=0), cut, axis=1)
-            if not check_interlacing(sigma, minor, INTERLACE_HERMITIAN_MINOR)["holds"]:
-                counts["interlacing_hermitian_minor"] += 1
-            if not check_interlacing(dense, np.delete(dense, cut, axis=0), INTERLACE_ROW_DELETION)["holds"]:
-                counts["interlacing_row_deletion"] += 1
-        if n >= 2:
-            cut = s % n
-            if not check_interlacing(dense, np.delete(dense, cut, axis=1), INTERLACE_COL_DELETION)["holds"]:
-                counts["interlacing_col_deletion"] += 1
+        keep = np.arange(p) != s % p
+        values = np.linalg.svd(dense, compute_uv=False)
+        chains = {
+            "interlacing_hermitian_minor": (
+                result.eigenvalues, np.linalg.eigvalsh(sigma[np.ix_(keep, keep)])
+            ),
+            "interlacing_row_deletion": (values, np.linalg.svd(dense[keep], compute_uv=False)),
+            "interlacing_col_deletion": (
+                values, np.linalg.svd(np.delete(dense, s % n, axis=1), compute_uv=False)
+            ),
+        }
+        for name, (big, small) in chains.items():
+            counts[name] += int(not check_interlacing(big, small)["holds"])
 
         rng = np.random.Generator(np.random.PCG64(mix64(seed, 2 * 10 ** 7 + idx)))
         probes = [rng.standard_normal(p)]

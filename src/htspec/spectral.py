@@ -36,10 +36,6 @@ RESIDUAL_FLOOR = 1e-12
 SOLVER_DENSE = "dense"
 SOLVER_LANCZOS = "lanczos"
 
-INTERLACE_HERMITIAN_MINOR = "hermitian_minor"
-INTERLACE_ROW_DELETION = "row_deletion"
-INTERLACE_COL_DELETION = "col_deletion"
-
 
 @dataclass
 class SpectralResult:
@@ -263,39 +259,29 @@ def top_eigs(
     )
 
 
-def check_interlacing(parent, minor, mode: str) -> dict:
-    """Verify a Cauchy interlacing chain; returns ``{"holds", "max_violation"}``.
+def check_interlacing(big, small) -> dict:
+    """Verify a Cauchy interlacing chain ``big[i] >= small[i] >= big[i+1]``;
+    returns ``{"holds", "max_violation"}``.
 
-    ``hermitian_minor``: eigenvalues of a symmetric matrix and a principal
-    minor one smaller interlace.  ``row_deletion`` / ``col_deletion``: singular
-    values of a ``p x n`` matrix and of the matrix with one row (column)
-    removed satisfy ``s_i(A) >= s_i(A') >= s_{i+1}(A)``.  Both inputs are
-    dense 2-d arrays; the values are computed here.  Tolerance is ``1e-9``
-    relative to the largest parent value.
+    ``big`` and ``small`` are 1-d value arrays in any order, sorted here in
+    descending order, with ``big.size - 1 <= small.size <= big.size``: the
+    eigenvalues of a symmetric matrix and of a principal minor one smaller,
+    or the singular values of a ``p x n`` matrix and of the matrix with one
+    row or column removed.  Tolerance is ``1e-9`` relative to the largest
+    ``|big|``; a NaN value fails the check.
     """
-    parent = np.asarray(parent, dtype=np.float64)
-    minor = np.asarray(minor, dtype=np.float64)
-    if mode == INTERLACE_HERMITIAN_MINOR:
-        big = np.sort(np.linalg.eigvalsh(0.5 * (parent + parent.T)))[::-1]
-        small = np.sort(np.linalg.eigvalsh(0.5 * (minor + minor.T)))[::-1]
-    elif mode in (INTERLACE_ROW_DELETION, INTERLACE_COL_DELETION):
-        big = np.linalg.svd(parent, compute_uv=False)
-        small = np.linalg.svd(minor, compute_uv=False)
-    else:
-        raise ValueError(f"unknown interlacing mode: {mode!r}")
-    if small.size != big.size - 1 and mode == INTERLACE_HERMITIAN_MINOR:
-        raise ValueError(
-            f"minor must be one dimension smaller: {big.size} vs {small.size}"
-        )
-    if mode != INTERLACE_HERMITIAN_MINOR and small.size < big.size - 1:
-        raise ValueError(
-            f"deletion minor has too few singular values: {big.size} vs {small.size}"
-        )
+    big = np.asarray(big, dtype=np.float64)
+    small = np.asarray(small, dtype=np.float64)
+    if big.ndim != 1 or small.ndim != 1:
+        raise ValueError(f"expected 1-d value arrays, got shapes {big.shape}, {small.shape}")
+    if not big.size - 1 <= small.size <= big.size:
+        raise ValueError(f"small must hold big.size - 1 or big.size values: {big.size}, {small.size}")
+    big = np.sort(big)[::-1]
+    small = np.sort(small)[::-1]
+    gaps = np.concatenate([small - big[: small.size], big[1:] - small[: big.size - 1]])
+    # ``+ 0.0`` turns a -0.0 maximum into 0.0, so no report prints -0.0.
+    violation = float(np.max(gaps, initial=0.0)) + 0.0
     scale = max(1.0, float(np.max(np.abs(big))) if big.size else 0.0)
-    violation = 0.0
-    for i in range(big.size - 1):
-        violation = max(violation, float(small[i] - big[i]))
-        violation = max(violation, float(big[i + 1] - small[i]))
     return {"holds": bool(violation <= 1e-9 * scale), "max_violation": violation}
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import htspec
 from htspec import cli
 from htspec.cli import UsageError, _grid, build_parser, main
 
@@ -469,6 +474,16 @@ def test_verify_small(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["pass"] is True
     assert "elapsed_s" not in payload
+
+
+def test_module_entry_point_runs_verify():
+    src = str(Path(htspec.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "htspec", "verify", "--instances", "5", "--lemma-instances", "2"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("[PASS]") == 8
 
 
 def test_verify_counts_below_one_rejected(capsys):

@@ -333,6 +333,18 @@ def test_truncation_run_with_empty_replicates():
     assert json.loads(report.to_json())["replicates"][empty[0].r]["extra"]["ratio_inf"] is None
 
 
+def test_interlacing_spot_on_empty_minors():
+    # p = 1 rows and a 1 x 1 hermitian matrix leave an empty minor to compare.
+    poisson = run_poisson_experiment(poisson_cfg(n=2, rho=0.5, replicates=3, top_k=1))
+    hermitian = run_hermitian_experiment(
+        poisson_cfg(shape="hermitian", n=1, alpha=1.2, mu=0.4, replicates=3, top_k=1)
+    )
+    for report, mode in ((poisson, "row_deletion"), (hermitian, "hermitian_minor")):
+        spot = report.aggregates["interlacing_spot"]
+        assert spot["mode"] == mode
+        assert spot["holds"] and spot["max_violation"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 

@@ -9,9 +9,6 @@ from hypothesis.extra.numpy import arrays
 from htspec.matrices import SparseMatrix, gram_matvec, top_entries
 from htspec.seeding import mix64
 from htspec.spectral import (
-    INTERLACE_COL_DELETION,
-    INTERLACE_HERMITIAN_MINOR,
-    INTERLACE_ROW_DELETION,
     check_interlacing,
     eig_dense_symmetric,
     localization_bound_check,
@@ -236,14 +233,17 @@ def test_lanczos_validation():
 # interlacing
 
 
+def singular_values(x):
+    return np.linalg.svd(x, compute_uv=False)
+
+
 def test_interlacing_hermitian_minor_random():
     rng = rng_for(123)
     for case in range(100):
         n = int(rng.integers(2, 25))
         a = random_symmetric(int(rng.integers(1 << 31)), n)
-        cut = int(rng.integers(n))
-        minor = np.delete(np.delete(a, cut, axis=0), cut, axis=1)
-        out = check_interlacing(a, minor, INTERLACE_HERMITIAN_MINOR)
+        keep = np.arange(n) != int(rng.integers(n))
+        out = check_interlacing(np.linalg.eigvalsh(a), np.linalg.eigvalsh(a[np.ix_(keep, keep)]))
         assert out["holds"], (case, out)
         assert out["max_violation"] == 0.0
 
@@ -254,26 +254,58 @@ def test_interlacing_row_and_col_deletion_random():
         p = int(rng.integers(2, 20))
         n = int(rng.integers(2, 20))
         x = rng.standard_normal((p, n))
-        out_r = check_interlacing(x, np.delete(x, int(rng.integers(p)), axis=0), INTERLACE_ROW_DELETION)
-        out_c = check_interlacing(x, np.delete(x, int(rng.integers(n)), axis=1), INTERLACE_COL_DELETION)
+        big = singular_values(x)
+        out_r = check_interlacing(big, singular_values(np.delete(x, int(rng.integers(p)), axis=0)))
+        out_c = check_interlacing(big, singular_values(np.delete(x, int(rng.integers(n)), axis=1)))
         assert out_r["holds"] and out_c["holds"], (case, out_r, out_c)
 
 
 def test_interlacing_detects_violation():
     # a fake "minor" with an eigenvalue above the parent's top must fail
-    a = np.diag([3.0, 2.0, 1.0])
-    fake = np.diag([10.0, 0.0])
-    out = check_interlacing(a, fake, INTERLACE_HERMITIAN_MINOR)
+    out = check_interlacing([3.0, 2.0, 1.0], [10.0, 0.0])
     assert not out["holds"]
     assert out["max_violation"] >= 7.0
 
 
+def test_interlacing_equal_sizes_check_last_upper_bound():
+    # Column deletion of a p x n matrix with p < n keeps p singular values;
+    # the last one must still lie below the parent's last.
+    out = check_interlacing([3.0, 2.0, 1.0], [2.5, 1.5, 1.2])
+    assert not out["holds"]
+    assert out["max_violation"] == pytest.approx(0.2)
+    assert check_interlacing([3.0, 2.0, 1.0], [2.5, 1.5, 0.5])["holds"]
+
+
+def test_interlacing_top_values_of_minor():
+    # The top k + 1 values of a symmetric matrix and the top k of a principal
+    # minor interlace too, in any order; raising small[0] above big[0] fails.
+    rng = rng_for(99)
+    for case in range(50):
+        n = int(rng.integers(4, 30))
+        k = int(rng.integers(1, n - 1))
+        a = random_symmetric(int(rng.integers(1 << 31)), n)
+        keep = np.arange(n) != int(rng.integers(n))
+        big = np.linalg.eigvalsh(a)[-(k + 1):]
+        small = np.linalg.eigvalsh(a[np.ix_(keep, keep)])[-k:]
+        assert check_interlacing(big, small)["holds"], case
+        assert check_interlacing(big[::-1], small)["holds"], case
+        raised = small.copy()
+        raised[-1] = big[-1] + 0.5
+        out = check_interlacing(big, raised)
+        assert not out["holds"], case
+        assert out["max_violation"] == pytest.approx(0.5)
+
+
 def test_interlacing_shape_validation():
-    a = np.diag([3.0, 2.0, 1.0])
+    big = [3.0, 2.0, 1.0]
     with pytest.raises(ValueError):
-        check_interlacing(a, np.diag([1.0, 1.0, 1.0]), INTERLACE_HERMITIAN_MINOR)
+        check_interlacing(big, [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
-        check_interlacing(a, np.diag([1.0, 1.0]), "bogus_mode")
+        check_interlacing(big, [1.0])
+    with pytest.raises(ValueError):
+        check_interlacing(np.diag(big), np.diag([2.5, 1.5]))
+    with pytest.raises(ValueError):
+        check_interlacing(3.0, [])
 
 
 # ---------------------------------------------------------------------------
