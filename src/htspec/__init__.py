@@ -34,10 +34,8 @@ from .matrices import (
     truncate_split,
 )
 from .limits import (
-    COVARIANCE,
     CRITICAL,
     EDGE,
-    HERMITIAN_KIND,
     POISSONIAN,
     RegimeParams,
     c_n,
@@ -118,8 +116,6 @@ __all__ = [
     "POISSONIAN",
     "EDGE",
     "CRITICAL",
-    "COVARIANCE",
-    "HERMITIAN_KIND",
     "localization_profile",
     "is_localized",
     "distance_to_basis_vector",

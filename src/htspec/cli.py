@@ -180,10 +180,6 @@ def build_parser() -> _Parser:
     _add_ensemble_args(experiment, single_matrix=False)
     experiment.add_argument("--replicates", type=int, default=20)
     experiment.add_argument("--top-k", type=int, default=5)
-    experiment.add_argument(
-        "--thresholds", type=_floats, default=(0.5, 1.0, 2.0),
-        help="comma-separated count thresholds",
-    )
     experiment.add_argument("--master-seed", type=int, default=0)
     experiment.add_argument("--solver-tol", type=float, default=1e-8)
     experiment.add_argument("--gamma", type=float, help="truncation level exponent")
@@ -322,7 +318,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         replicates=args.replicates,
         shape=HERMITIAN if args.kind == "hermitian" else RECTANGULAR,
         top_k=args.top_k,
-        thresholds=args.thresholds,
         master_seed=args.master_seed,
         standardize=args.standardize,
         sv_kind=args.sv_kind,

@@ -36,7 +36,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import limits
 from .limits import (
     CRITICAL,
     EDGE,
@@ -92,6 +91,9 @@ LOC_ETA = 0.3
 # aggregates beyond the top pair.
 AMBIGUOUS_REL_GAP = 1e-6
 
+# Thresholds of the Poisson count test; its verdict reads threshold 1.
+COUNT_THRESHOLDS = (0.5, 1.0, 2.0)
+
 _TAG_SOLVER = 2
 _SPOT_REPLICATE_TAG = 999983
 _SPOT_INDEX_TAG = 999979
@@ -129,7 +131,6 @@ class ExperimentConfig:
     shape: str = RECTANGULAR
     replicates: int = 10
     top_k: int = 5
-    thresholds: tuple[float, ...] = (0.5, 1.0, 2.0)
     master_seed: int = 0
     solver_tol: float = 1e-8
 
@@ -145,8 +146,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"top_k must lie in [1, min(p, 50)] = [1, {min(regime.p, 50)}]: {self.top_k}"
             )
-        if not self.thresholds or any(not (math.isfinite(t) and t > 0) for t in self.thresholds):
-            raise ValueError("thresholds must be positive and nonempty")
         if not (math.isfinite(self.solver_tol) and self.solver_tol >= 1e-12):
             raise ValueError(f"solver_tol must be >= 1e-12: {self.solver_tol!r}")
 
@@ -164,7 +163,6 @@ def make_config(
     rho: float = 1.0,
     shape: str = RECTANGULAR,
     top_k: int = 5,
-    thresholds: tuple[float, ...] = (0.5, 1.0, 2.0),
     master_seed: int = 0,
     standardize: bool = False,
     sv_kind: str = SV_CONSTANT,
@@ -190,7 +188,6 @@ def make_config(
         shape=shape,
         replicates=replicates,
         top_k=top_k,
-        thresholds=tuple(float(t) for t in thresholds),
         master_seed=master_seed,
         solver_tol=solver_tol,
     )
@@ -213,7 +210,7 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
         },
         "replicates": cfg.replicates,
         "top_k": cfg.top_k,
-        "thresholds": list(cfg.thresholds),
+        "thresholds": list(COUNT_THRESHOLDS),
         "master_seed": cfg.master_seed,
         "solver_tol": cfg.solver_tol,
     }
@@ -356,21 +353,22 @@ def _assert_gram_bounds(lam1: float, m: SparseMatrix, tol: float, top) -> tuple[
 
 
 def _assert_symmetric_bounds(lam1: float, m: SparseMatrix, tol: float, top) -> tuple[float, float]:
-    """Norm bound and two-site Rayleigh bound for a symmetric matrix whose
-    largest entry is ``top`` (``None`` when it stores none)."""
+    """Norm bound and Rayleigh bound for a symmetric matrix whose largest
+    entry is ``top`` (``None`` when it stores none): ``lambda1 >= a_ii`` for a
+    diagonal ``top``, else the two-site ``(a_ii + a_jj) / 2 + |a_ij|``."""
     inf_n, one_n = norms(m)
     if lam1 > inf_n * (1.0 + 1e-9) + 1e-12:
         raise RuntimeError(
             f"infinity norm bound violated: lambda1 = {lam1} > {inf_n}"
         )
-    if top is not None and top.i != top.j:
+    if top is not None:
         a = m.to_scipy()
         diag = 0.5 * (float(a[top.i, top.i]) + float(a[top.j, top.j]))
-        lower = diag + top.magnitude
+        lower = diag if top.i == top.j else diag + top.magnitude
         slack = 1e-9 * max(1.0, abs(lower)) + 10.0 * tol * max(1.0, abs(lam1))
         if lam1 < lower - slack:
             raise RuntimeError(
-                f"two-site Rayleigh bound violated: lambda1 = {lam1} < {lower}"
+                f"Rayleigh lower bound violated: lambda1 = {lam1} < {lower}"
             )
     return inf_n, one_n
 
@@ -453,15 +451,19 @@ def _spot_row(spot: dict) -> tuple:
     return ("interlacing spot check", spot["max_violation"], (-math.inf, 0.0), spot["holds"])
 
 
-def _count_rows(counts: list[dict]) -> list[tuple]:
-    """The count-test row at threshold 1, or none when the run skips that threshold."""
-    for rec in counts:
-        if rec["threshold"] == 1.0:
-            mean, expected = rec["observed_mean"], rec["expected"]
-            window = (expected - 0.3, expected + 0.3)
-            criterion = "mean count above 1 within 0.3 of prediction"
-            return [(criterion, mean, window, abs(mean - expected) <= 0.3)]
-    return []
+def _poisson_limits(records, a: float, ks_label: str) -> tuple[dict, list[tuple]]:
+    """Aggregates and verdict rows of the Poissonian limit laws: KS of the top
+    points to Frechet(``a``), and the count test of all points at threshold 1."""
+    ks = ks_statistic(np.array([rec.points[0] for rec in records]), lambda x: frechet_cdf(x, a))
+    counts = poisson_count_test([rec.points for rec in records], COUNT_THRESHOLDS, a)
+    at_one = counts[COUNT_THRESHOLDS.index(1.0)]
+    mean, expected = at_one["observed_mean"], at_one["expected"]
+    rows = [
+        (f"{ks_label} <= 0.12", ks, (-math.inf, 0.12)),
+        ("mean count above 1 within 0.3 of prediction", mean, (expected - 0.3, expected + 0.3),
+         abs(mean - expected) <= 0.3),
+    ]
+    return {"ks_frechet_top1": ks, "count_test": counts}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +494,13 @@ def _symmetric_pairs(entry) -> bool:
     return not (entry.i == entry.j and entry.theta != 0.0)
 
 
-def _covariance_kind(reg: RegimeParams, localize, **data) -> _Kind:
+def _kind(cfg: ExperimentConfig, localize, **data) -> _Kind:
+    """The replicate kind of ``cfg``'s ensemble: Gram eigenvalues pair with
+    squared entries, symmetric ones with entries, each at its own bulk edge."""
+    reg = cfg.regime
+    if cfg.shape == HERMITIAN:
+        edge_scale = 2.0 * float(reg.n) ** (reg.mu / 2.0)
+        return _Kind(1, _assert_symmetric_bounds, _symmetric_pairs, localize, edge_scale, **data)
     edge_scale = (1.0 + math.sqrt(reg.rho)) ** 2 * float(reg.n) ** reg.mu
     return _Kind(2, _assert_gram_bounds, _gram_pairs, localize, edge_scale, **data)
 
@@ -613,15 +621,13 @@ def run_poisson_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     reg = cfg.regime
     cnp = c_np(cfg.law, reg.n, reg.p, reg.mu)
-    kind = _covariance_kind(reg, _basis_fields, scale=cnp ** 2, residuals=True)
+    kind = _kind(cfg, _basis_fields, scale=cnp ** 2, residuals=True)
     records = _map_replicates(lambda r: _replicate(cfg, kind, r), cfg.replicates)
 
     ratio1 = [rec.ratios["entry"][0] for rec in records if rec.ratios["entry"]]
     deeper = [x for rec in records if not rec.ambiguous for x in rec.ratios["entry"][1:]]
-    top_points = [rec.points[0] for rec in records]
-    ks = ks_statistic(np.array(top_points), lambda x: frechet_cdf(x, reg.alpha / 2.0))
-    count_records = poisson_count_test(
-        [rec.points for rec in records], cfg.thresholds, reg.alpha, limits.COVARIANCE
+    law, law_rows = _poisson_limits(
+        records, reg.alpha / kind.entry_power, "KS(top eigenvalue / c_np^2, Frechet(alpha/2))"
     )
     dist1 = [rec.loc_dist for rec in records]
     loc_freq = float(np.mean([d <= 0.2 for d in dist1]))
@@ -631,8 +637,7 @@ def run_poisson_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "c_np": cnp,
         "median_ratio_entry_1": _median(ratio1),
         "median_ratio_entry_rest": _median(deeper),
-        "ks_frechet_top1": ks,
-        "count_test": count_records,
+        **law,
         "median_basis_dist_1": _median(dist1),
         "basis_dist_freq_02": loc_freq,
         "mean_residual_1": _mean([rec.residuals[0] for rec in records if rec.residuals]),
@@ -641,8 +646,7 @@ def run_poisson_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     }
     rows = [
         ("median entry ratio in [0.9, 1.1]", aggregates["median_ratio_entry_1"], (0.9, 1.1)),
-        ("KS(top eigenvalue / c_np^2, Frechet(alpha/2)) <= 0.12", ks, (-math.inf, 0.12)),
-        *_count_rows(count_records),
+        *law_rows,
         ("basis distance <= 0.2 in >= 80% of replicates", loc_freq, (0.8, math.inf)),
         _spot_row(spot),
     ]
@@ -667,7 +671,7 @@ def run_edge_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     _check_regime(cfg, "edge", RECTANGULAR, EDGE)
     t0 = time.perf_counter()
     reg = cfg.regime
-    kind = _covariance_kind(reg, _mass_fields, dense=reg.p <= DENSE_DIM_LIMIT)
+    kind = _kind(cfg, _mass_fields, dense=reg.p <= DENSE_DIM_LIMIT)
     records = _map_replicates(lambda r: _replicate(cfg, kind, r), cfg.replicates, kind.dense)
 
     mean_edge1 = float(np.mean([rec.ratios["edge"][0] for rec in records]))
@@ -725,8 +729,7 @@ def run_hermitian_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     reg = cfg.regime
     scale_c = c_n(cfg.law, reg.n, reg.mu)
     localize = _pair_fields if regime == POISSONIAN else _pair_mass_fields
-    edge_scale = 2.0 * float(reg.n) ** (reg.mu / 2.0)
-    kind = _Kind(1, _assert_symmetric_bounds, _symmetric_pairs, localize, edge_scale, scale=scale_c)
+    kind = _kind(cfg, localize, scale=scale_c)
     records = _map_replicates(lambda r: _replicate(cfg, kind, r), cfg.replicates)
     spot = _interlacing_spot(cfg)
 
@@ -746,17 +749,13 @@ def run_hermitian_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "interlacing_spot": spot,
     }
     if regime == POISSONIAN:
-        top_points = [rec.points[0] for rec in records]
-        ks = ks_statistic(np.array(top_points), lambda x: frechet_cdf(x, reg.alpha))
-        count_records = poisson_count_test(
-            [rec.points for rec in records], cfg.thresholds, reg.alpha, limits.HERMITIAN_KIND
+        law, law_rows = _poisson_limits(
+            records, reg.alpha / kind.entry_power, "KS(top eigenvalue / c_n, Frechet(alpha))"
         )
-        aggregates["ks_frechet_top1"] = ks
-        aggregates["count_test"] = count_records
+        aggregates.update(law)
         rows = [
             ("median entry ratio in [0.9, 1.1]", aggregates["median_ratio_entry_1"], (0.9, 1.1)),
-            ("KS(top eigenvalue / c_n, Frechet(alpha)) <= 0.12", ks, (-math.inf, 0.12)),
-            *_count_rows(count_records),
+            *law_rows,
             ("pair distance <= 0.25 in >= 75% of replicates", pair_freq, (0.75, math.inf)),
         ]
     else:
@@ -944,7 +943,7 @@ def run_phase_sweep(
                 master_seed=mix64(master_seed, ia * 10007 + im),
                 standardize=alpha > 2,
             )
-            kind = _covariance_kind(cfg.regime, _basis_fields)
+            kind = _kind(cfg, _basis_fields)
             records = _map_replicates(lambda r: _replicate(cfg, kind, r), replicates)
             paired = [rec for rec in records if rec.entries]
             cells.append(

@@ -26,9 +26,6 @@ POISSONIAN = "poissonian"
 EDGE = "edge"
 CRITICAL = "critical"
 
-COVARIANCE = "covariance"
-HERMITIAN_KIND = "hermitian"
-
 
 @dataclass(frozen=True)
 class RegimeParams:
@@ -112,22 +109,19 @@ def frechet_cdf(t, a: float):
     return float(out[0]) if scalar else out
 
 
-def pp_mean_count(x: float, alpha: float, kind: str = COVARIANCE) -> float:
-    """Mean number of limiting point-process points above ``x > 0``.
+def pp_mean_count(x: float, a: float) -> float:
+    """Mean number of limiting point-process points above ``x > 0``: ``x^-a``.
 
     Normalized extreme eigenvalues converge to a Poisson process whose
-    intensity integrates to ``x^(-alpha/2)`` for the covariance ensemble and
-    ``x^-alpha`` for the symmetric one.
+    intensity integrates to ``x^-a``, with the Frechet exponent ``a`` of the
+    top point (:func:`frechet_cdf`): ``alpha/2`` for the covariance ensemble
+    and ``alpha`` for the symmetric one.
     """
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"x must be finite and positive: {x!r}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and positive: {alpha!r}")
-    if kind == COVARIANCE:
-        return x ** (-alpha / 2.0)
-    if kind == HERMITIAN_KIND:
-        return x ** -alpha
-    raise ValueError(f"unknown point process kind: {kind!r}")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"Frechet exponent must be finite and positive: {a!r}")
+    return x ** -a
 
 
 def mp_edges(rho: float) -> tuple[float, float]:

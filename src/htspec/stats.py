@@ -34,15 +34,13 @@ def ks_statistic(samples, cdf) -> float:
     return float(np.max(np.maximum(upper, lower)))
 
 
-def poisson_count_test(
-    replicate_points, thresholds, alpha: float, kind: str
-) -> list[dict]:
+def poisson_count_test(replicate_points, thresholds, a: float) -> list[dict]:
     """Compare exceedance counts of normalized extreme points to the Poisson
     point process prediction.
 
     ``replicate_points`` is one collection of points per replicate.  For each
     threshold ``x`` the count of points above ``x`` is Poisson with mean
-    ``pp_mean_count(x, alpha, kind)`` in the limit, so the replicate mean has
+    ``pp_mean_count(x, a)`` in the limit, so the replicate mean has
     standard error ``sqrt(mean / R)``; ``z_score`` is the standardized gap,
     and the sample variance is reported for the mean = variance diagnostic.
     """
@@ -54,7 +52,7 @@ def poisson_count_test(
         raise ValueError("need at least one threshold")
     records = []
     for x in thresholds:
-        expected = pp_mean_count(x, alpha, kind)
+        expected = pp_mean_count(x, a)
         counts = np.array([float(np.sum(pts > x)) for pts in reps])
         mean = float(counts.mean())
         var = float(counts.var(ddof=1)) if counts.size > 1 else 0.0

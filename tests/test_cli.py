@@ -347,10 +347,10 @@ FLAGS_AND_INI = {
     ),
     "experiment": (
         ["--kind", "poisson", "--alpha", "1", "--mu", "1", "--n", "40",
-         "--replicates", "3", "--thresholds", "0.5,2", "--master-seed", "9",
+         "--replicates", "3", "--solver-tol", "1e-9", "--master-seed", "9",
          "--no-timing", "--top-k", "2"],
         "kind = poisson\nalpha = 1\nmu = 1\nn = 40\nreplicates = 3\n"
-        "thresholds = 0.5, 2\nmaster-seed = 9\ntiming = no\ntop_k = 2\n",
+        "solver_tol = 1e-9\nmaster-seed = 9\ntiming = no\ntop_k = 2\n",
     ),
     "experiment-truncation": (
         ["--kind", "truncation", "--alpha", "8", "--mu", "1", "--n", "50",
@@ -434,6 +434,19 @@ def test_mask_options_removed(tmp_path, capsys):
         code, _, err = run(capsys, ["--config", cfg, *flags])
         assert code == 1
         assert f"unknown key {key.split()[0]!r}" in err
+
+
+def test_thresholds_option_removed(tmp_path, capsys):
+    # The count thresholds are fixed at 0.5, 1 and 2.
+    flags = ["experiment", "--kind", "poisson", "--alpha", "1", "--mu", "1",
+             "--n", "40", "--replicates", "2"]
+    code, _, err = run(capsys, [*flags, "--thresholds", "0.5,2"])
+    assert code == 1
+    assert "--thresholds" in err
+    cfg = write_config(tmp_path, "[experiment]\nthresholds = 0.5, 2\n")
+    code, _, err = run(capsys, ["--config", cfg, *flags])
+    assert code == 1
+    assert "unknown key 'thresholds'" in err
 
 
 # ---------------------------------------------------------------------------

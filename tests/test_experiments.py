@@ -24,6 +24,7 @@ from htspec.experiments import (
     _map_replicates,
 )
 from htspec.limits import EDGE, POISSONIAN, RegimeParams
+from htspec.matrices import SparseMatrix, top_entries
 from htspec.seeding import mix64
 from htspec.spectral import top_eigs
 from htspec.tails import SparsitySpec, TailLaw
@@ -146,10 +147,6 @@ def test_config_bounds():
         poisson_cfg(top_k=51)
     with pytest.raises(ValueError):
         poisson_cfg(n=10, top_k=11)  # p = 10 caps top_k
-    with pytest.raises(ValueError):
-        poisson_cfg(thresholds=())
-    with pytest.raises(ValueError):
-        poisson_cfg(thresholds=(0.0,))
     with pytest.raises(ValueError):
         poisson_cfg(solver_tol=1e-13)
 
@@ -343,6 +340,31 @@ def test_interlacing_spot_on_empty_minors():
         spot = report.aggregates["interlacing_spot"]
         assert spot["mode"] == mode
         assert spot["holds"] and spot["max_violation"] == 0.0
+
+
+def test_poissonian_runs_judge_one_count_threshold():
+    # Both ensembles count exceedances of 0.5, 1 and 2 and judge threshold 1.
+    for report in (
+        run_poisson_experiment(poisson_cfg()),
+        run_hermitian_experiment(poisson_cfg(shape="hermitian")),
+    ):
+        criteria = [v["criterion"] for v in report.verdicts]
+        assert sum(c.startswith("mean count above 1") for c in criteria) == 1
+        counts = report.aggregates["count_test"]
+        assert [rec["threshold"] for rec in counts] == [0.5, 1.0, 2.0]
+        assert report.config["thresholds"] == [0.5, 1.0, 2.0]
+
+
+def test_symmetric_bound_with_diagonal_top_entry():
+    # The largest entry is a_00 = 5, and e_0 gives lambda_1 >= a_00 exactly.
+    a = np.array([[5.0, 1.0], [1.0, -2.0]])
+    m = SparseMatrix.from_dense(a, symmetric=True)
+    (top,), _ = top_entries(m, 1)
+    assert (top.i, top.j) == (0, 0)
+    lam1 = float(np.linalg.eigvalsh(a)[-1])
+    experiments._assert_symmetric_bounds(lam1, m, 0.0, top)
+    with pytest.raises(RuntimeError, match="Rayleigh"):
+        experiments._assert_symmetric_bounds(4.9, m, 0.0, top)
 
 
 # ---------------------------------------------------------------------------

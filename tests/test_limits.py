@@ -5,10 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from htspec.limits import (
-    COVARIANCE,
     CRITICAL,
     EDGE,
-    HERMITIAN_KIND,
     POISSONIAN,
     RegimeParams,
     c_n,
@@ -98,13 +96,15 @@ def test_frechet_median():
 
 
 def test_pp_mean_count():
-    assert pp_mean_count(1.0, 2.0, COVARIANCE) == 1.0
-    assert pp_mean_count(4.0, 2.0, COVARIANCE) == pytest.approx(0.25, rel=1e-14)
-    assert pp_mean_count(4.0, 2.0, HERMITIAN_KIND) == pytest.approx(1.0 / 16.0, rel=1e-14)
+    # covariance at alpha = 2 has a = alpha / 2 = 1; hermitian at alpha = 2 has a = 2
+    assert pp_mean_count(1.0, 1.0) == 1.0
+    assert pp_mean_count(4.0, 1.0) == pytest.approx(0.25, rel=1e-14)
+    assert pp_mean_count(4.0, 2.0) == pytest.approx(1.0 / 16.0, rel=1e-14)
     with pytest.raises(ValueError):
-        pp_mean_count(0.0, 2.0, COVARIANCE)
-    with pytest.raises(ValueError):
-        pp_mean_count(1.0, 2.0, "other")
+        pp_mean_count(0.0, 1.0)
+    for a in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            pp_mean_count(1.0, a)
 
 
 def test_mp_edges():

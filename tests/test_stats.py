@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from htspec.limits import COVARIANCE, HERMITIAN_KIND, c_np, mp_cdf
+from htspec.limits import c_np, mp_cdf
 from htspec.stats import esd, ks_statistic, poisson_count_test
 from htspec.tails import EnsembleSpec, SparsitySpec, TailLaw, sample_matrix
 
@@ -60,9 +60,9 @@ def test_ks_validation():
 
 
 def test_poisson_count_test_hand_example():
-    # alpha = 2 covariance: expected exceedances of x are x^(-1)
+    # covariance at alpha = 2, so a = 1: expected exceedances of x are x^(-1)
     pts = [[2.0, 0.7, 0.3], [1.5], [0.9, 0.8]]
-    out = poisson_count_test(pts, (0.5, 1.0), 2.0, COVARIANCE)
+    out = poisson_count_test(pts, (0.5, 1.0), 1.0)
     assert [rec["threshold"] for rec in out] == [0.5, 1.0]
 
     first = out[0]
@@ -78,27 +78,31 @@ def test_poisson_count_test_hand_example():
 
 
 def test_poisson_count_test_hermitian_exponent():
-    out = poisson_count_test([[3.0]], (2.0,), 1.0, HERMITIAN_KIND)
-    assert out[0]["expected"] == pytest.approx(0.5)  # x^(-alpha) = 1/2
+    # hermitian at alpha = 1, so a = 1
+    out = poisson_count_test([[3.0]], (2.0,), 1.0)
+    assert out[0]["expected"] == pytest.approx(0.5)  # x^(-a) = 1/2
     assert out[0]["observed_mean"] == 1.0
 
 
 def test_poisson_count_test_strict_exceedance():
     # points exactly at the threshold do not count
-    out = poisson_count_test([[1.0, 1.0]], (1.0,), 2.0, COVARIANCE)
+    out = poisson_count_test([[1.0, 1.0]], (1.0,), 1.0)
     assert out[0]["observed_mean"] == 0.0
 
 
 def test_poisson_count_test_empty_replicate_allowed():
-    out = poisson_count_test([[], [2.0]], (1.0,), 2.0, COVARIANCE)
+    out = poisson_count_test([[], [2.0]], (1.0,), 1.0)
     assert out[0]["observed_mean"] == pytest.approx(0.5)
 
 
 def test_poisson_count_test_validation():
     with pytest.raises(ValueError):
-        poisson_count_test([], (1.0,), 2.0, COVARIANCE)
+        poisson_count_test([], (1.0,), 1.0)
     with pytest.raises(ValueError):
-        poisson_count_test([[1.0]], (), 2.0, COVARIANCE)
+        poisson_count_test([[1.0]], (), 1.0)
+    for a in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            poisson_count_test([[1.0]], (1.0,), a)
 
 
 # ---------------------------------------------------------------------------
