@@ -37,6 +37,7 @@ from .tails import (
     sample_matrix,
 )
 from .experiments import (
+    SOLVER_TOL,
     make_config,
     run_edge_experiment,
     run_hermitian_experiment,
@@ -158,20 +159,16 @@ def build_parser() -> _Parser:
 
     sample = subs.add_parser("sample", help="draw one matrix and summarize it")
     _add_ensemble_args(sample)
-    sample.add_argument("--out", help="write the matrix as i,j,value CSV")
+    sample.add_argument("--out", help="write the matrix as CSV: a shape line, then i,j,value")
 
     spectrum = subs.add_parser("spectrum", help="top eigenvalues of one matrix")
     _add_ensemble_args(spectrum)
     spectrum.add_argument("--k", type=int, default=5)
-    spectrum.add_argument("--tol", type=float, default=1e-8, help="Lanczos only")
     spectrum.add_argument(
         "--solver", choices=(SOLVER_LANCZOS, SOLVER_DENSE), default=SOLVER_LANCZOS
     )
-    spectrum.add_argument("--solver-seed", type=int, default=0, help="Lanczos only")
-    spectrum.add_argument("--in", dest="infile", help="load matrix from CSV instead of sampling")
     spectrum.add_argument(
-        "--symmetric", action=argparse.BooleanOptionalAction, default=False,
-        help="treat the loaded CSV as symmetric",
+        "--in", dest="infile", help="load a matrix written by sample --out instead of sampling"
     )
     spectrum.add_argument("--out", help="write the result as JSON")
 
@@ -181,10 +178,8 @@ def build_parser() -> _Parser:
     experiment.add_argument("--replicates", type=int, default=20)
     experiment.add_argument("--top-k", type=int, default=5)
     experiment.add_argument("--master-seed", type=int, default=0)
-    experiment.add_argument("--solver-tol", type=float, default=1e-8)
     experiment.add_argument("--gamma", type=float, help="truncation level exponent")
     experiment.add_argument("--gamma-prime", type=float)
-    experiment.add_argument("--kappa", type=float, default=1.5)
     experiment.add_argument("--report", help="write the full report as JSON")
     experiment.add_argument("--csv", help="write the per-replicate summary as CSV")
     experiment.add_argument(
@@ -269,10 +264,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
-    if args.infile is not None:
-        m = load_matrix_csv(args.infile, symmetric=args.symmetric)
-    else:
-        m = _sample(args)
+    m = load_matrix_csv(args.infile) if args.infile is not None else _sample(args)
     if args.solver == SOLVER_DENSE:
         dense = m.to_dense()
         target = dense if m.symmetric else dense @ dense.T
@@ -285,7 +277,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             residual_norms=result.residual_norms[:k],
         )
     else:
-        result = top_eigs(m, args.k, tol=args.tol, seed=args.solver_seed)
+        result = top_eigs(m, args.k, tol=SOLVER_TOL, seed=0)
     for value, resid in zip(result.eigenvalues, result.residual_norms):
         print(f"{float(value)!r} residual={resid:.3e}")
     if not result.converged:
@@ -324,7 +316,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         sv_c=args.sv_c,
         sv_beta=args.sv_beta,
         support_min=args.support_min,
-        solver_tol=args.solver_tol,
     )
     if args.kind == "poisson":
         report = run_poisson_experiment(cfg)
@@ -333,9 +324,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     elif args.kind == "hermitian":
         report = run_hermitian_experiment(cfg)
     else:
-        report = run_truncation_experiment(
-            cfg, gamma=args.gamma, gamma_prime=args.gamma_prime, kappa=args.kappa
-        )
+        report = run_truncation_experiment(cfg, gamma=args.gamma, gamma_prime=args.gamma_prime)
     _print_verdicts(report.verdicts)
     if args.report:
         report.save_json(args.report, include_timing=args.timing)

@@ -94,6 +94,11 @@ AMBIGUOUS_REL_GAP = 1e-6
 # Thresholds of the Poisson count test; its verdict reads threshold 1.
 COUNT_THRESHOLDS = (0.5, 1.0, 2.0)
 
+# Every Lanczos solve runs to this tolerance; the exact bounds allow ten times it.
+SOLVER_TOL = 1e-8
+# kappa of the truncated Gram norm bound kappa n^(2 gamma') (1 + sqrt(rho))^2.
+TRUNCATION_KAPPA = 1.5
+
 _TAG_SOLVER = 2
 _SPOT_REPLICATE_TAG = 999983
 _SPOT_INDEX_TAG = 999979
@@ -132,7 +137,6 @@ class ExperimentConfig:
     replicates: int = 10
     top_k: int = 5
     master_seed: int = 0
-    solver_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         regime = self.regime  # RegimeParams validates alpha, mu, rho and n
@@ -146,12 +150,15 @@ class ExperimentConfig:
             raise ValueError(
                 f"top_k must lie in [1, min(p, 50)] = [1, {min(regime.p, 50)}]: {self.top_k}"
             )
-        if not (math.isfinite(self.solver_tol) and self.solver_tol >= 1e-12):
-            raise ValueError(f"solver_tol must be >= 1e-12: {self.solver_tol!r}")
 
     @property
     def regime(self) -> RegimeParams:
         return RegimeParams(alpha=self.law.alpha, mu=self.sparsity.mu, rho=self.rho, n=self.n)
+
+    @property
+    def solver_tol(self) -> float:
+        """The fixed ``SOLVER_TOL``; ``bench/child.py`` reads it here."""
+        return SOLVER_TOL
 
 
 def make_config(
@@ -169,7 +176,6 @@ def make_config(
     sv_c: float = 1.0,
     sv_beta: float = 0.0,
     support_min: float = 1.0,
-    solver_tol: float = 1e-8,
 ) -> ExperimentConfig:
     """Convenience constructor wiring the law, mask, and regime together."""
     law = TailLaw(
@@ -189,7 +195,6 @@ def make_config(
         replicates=replicates,
         top_k=top_k,
         master_seed=master_seed,
-        solver_tol=solver_tol,
     )
 
 
@@ -212,7 +217,7 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
         "top_k": cfg.top_k,
         "thresholds": list(COUNT_THRESHOLDS),
         "master_seed": cfg.master_seed,
-        "solver_tol": cfg.solver_tol,
+        "solver_tol": SOLVER_TOL,
     }
 
 
@@ -514,13 +519,13 @@ def _solve(cfg: ExperimentConfig, m: SparseMatrix, r: int, k: int, dense: bool =
         x = m.to_dense()
         return eig_dense_symmetric(x @ x.T), 0.0
     seed = mix64(derive_replicate_seed(cfg.master_seed, r), _TAG_SOLVER)
-    spec = top_eigs(m, k, tol=cfg.solver_tol, seed=seed)
+    spec = top_eigs(m, k, tol=SOLVER_TOL, seed=seed)
     if not spec.converged:
         raise RuntimeError(
-            f"replicate {r}: Lanczos did not reach tol = {cfg.solver_tol} "
+            f"replicate {r}: Lanczos did not reach tol = {SOLVER_TOL} "
             f"in {spec.iterations} iterations"
         )
-    return spec, cfg.solver_tol
+    return spec, SOLVER_TOL
 
 
 def _replicate(cfg: ExperimentConfig, kind: _Kind, r: int) -> ReplicateRecord:
@@ -848,11 +853,11 @@ def run_truncation_experiment(
     cfg: ExperimentConfig,
     gamma: float | None = None,
     gamma_prime: float | None = None,
-    kappa: float = 1.5,
 ) -> ExperimentReport:
     """Split entries at ``n^gamma`` and verify the two truncation facts:
     the small part has Gram norm below ``kappa n^(2 gamma') (1+sqrt(rho))^2``
-    and the large part is dominated by the single largest entry.
+    (``kappa = TRUNCATION_KAPPA``) and the large part is dominated by the
+    single largest entry.
     """
     if cfg.shape != RECTANGULAR:
         raise ValueError("truncation experiment runs the rectangular ensemble")
@@ -871,21 +876,18 @@ def run_truncation_experiment(
         raise ValueError(
             f"hypothesis gamma_prime >= mu/2 violated: {gamma_prime} < {mu / 2.0}"
         )
-    if not (math.isfinite(kappa) and kappa > 1.0):
-        raise ValueError(f"kappa must exceed 1: {kappa!r}")
     t0 = time.perf_counter()
     reg = cfg.regime
     level = float(reg.n) ** gamma
-    bound = kappa * float(reg.n) ** (2.0 * gamma_prime) * (1.0 + math.sqrt(reg.rho)) ** 2
+    bound = TRUNCATION_KAPPA * reg.n ** (2.0 * gamma_prime) * (1.0 + math.sqrt(reg.rho)) ** 2
     records = _map_replicates(lambda r: _truncation_replicate(cfg, r, level, bound), cfg.replicates)
     exceed_freq = float(np.mean([rec.extra["exceeded"] for rec in records]))
     defined = [rec.extra["ratio_inf"] for rec in records if rec.extra["mprime_nnz"] > 0]
     # An empty large part leaves ratio_inf undefined (nan), which fails the test.
     ratio_freq = float(np.mean([rec.extra["ratio_inf"] <= 1.2 for rec in records]))
+    window = {"gamma": gamma, "gamma_prime": gamma_prime, "kappa": TRUNCATION_KAPPA}
     aggregates = {
-        "gamma": gamma,
-        "gamma_prime": gamma_prime,
-        "kappa": kappa,
+        **window,
         "level": level,
         "norm_bound": bound,
         "exceed_freq": exceed_freq,
@@ -902,7 +904,7 @@ def run_truncation_experiment(
             (0.90, math.inf),
         ),
     ]
-    config = {**_config_dict(cfg), "gamma": gamma, "gamma_prime": gamma_prime, "kappa": kappa}
+    config = {**_config_dict(cfg), **window}
     return ExperimentReport(
         "truncation", config, records, aggregates, _verdicts(rows), time.perf_counter() - t0
     )

@@ -16,10 +16,14 @@ products, but ranked entries and the CSV format use only ``i <= j``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, triu
+
+# First line of a matrix CSV file: the shape and symmetry of the matrix.
+_DESCRIPTION = re.compile(r"# rows=(\d+) cols=(\d+) symmetric=(true|false)")
 
 
 @dataclass(frozen=True)
@@ -211,10 +215,12 @@ def truncate_split(m: SparseMatrix, level: float) -> tuple[SparseMatrix, SparseM
 
 
 def save_matrix_csv(m: SparseMatrix, path) -> None:
-    """Write ``i,j,value`` rows (0-based, row-major); symmetric matrices store
+    """Write the description line ``# rows=R cols=C symmetric=true|false``,
+    then ``i,j,value`` rows (0-based, row-major); symmetric matrices store
     only ``i <= j``."""
     rows = m.row_index_of_entries()
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# rows={m.rows} cols={m.cols} symmetric={str(m.symmetric).lower()}\n")
         fh.write("i,j,value\n")
         for i, j, v in zip(rows, m.indices, m.values):
             if m.symmetric and i > j:
@@ -222,20 +228,26 @@ def save_matrix_csv(m: SparseMatrix, path) -> None:
             fh.write(f"{i},{j},{float(v)!r}\n")
 
 
-def load_matrix_csv(path, rows: int | None = None, cols: int | None = None,
-                    symmetric: bool = False) -> SparseMatrix:
-    """Read the ``i,j,value`` format; symmetric files are mirrored below the
-    diagonal.  Dimensions default to the largest index seen plus one.  An
-    ``(i, j)`` given twice is an error, not a sum."""
-    ii: list[int] = []
-    jj: list[int] = []
-    vv: list[float] = []
+def load_matrix_csv(path) -> SparseMatrix:
+    """Read the format ``save_matrix_csv`` writes.  The shape and symmetry
+    come from the description line, which the file must have; symmetric files
+    are mirrored below the diagonal.  An entry outside the shape, or an
+    ``(i, j)`` given twice, is an error, not a guess or a sum."""
+    ii, jj, vv = [], [], []
     first_line: dict[tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
+        line = fh.readline().strip()
+        described = _DESCRIPTION.fullmatch(line)
+        if described is None:
+            raise ValueError(f"no '# rows=R cols=C symmetric=true|false' line: {line!r}")
+        rows, cols = int(described[1]), int(described[2])
+        symmetric = described[3] == "true"
+        if symmetric and rows != cols:
+            raise ValueError(f"symmetric matrix CSV with shape {rows} x {cols}")
         header = fh.readline().strip()
         if header != "i,j,value":
             raise ValueError(f"unexpected matrix CSV header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(fh, start=3):
             line = line.strip()
             if not line:
                 continue
@@ -243,8 +255,8 @@ def load_matrix_csv(path, rows: int | None = None, cols: int | None = None,
             if len(fields) != 3:
                 raise ValueError(f"line {lineno}: expected 3 fields, got {len(fields)}")
             i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-            if i < 0 or j < 0:
-                raise ValueError(f"line {lineno}: negative index")
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"line {lineno}: entry ({i}, {j}) outside {rows} x {cols}")
             if symmetric and i > j:
                 raise ValueError(f"line {lineno}: symmetric files store only i <= j")
             seen = first_line.setdefault((i, j), lineno)
@@ -253,13 +265,7 @@ def load_matrix_csv(path, rows: int | None = None, cols: int | None = None,
             ii.append(i)
             jj.append(j)
             vv.append(v)
-            if symmetric and i != j:
-                ii.append(j)
-                jj.append(i)
-                vv.append(v)
-    nrows = rows if rows is not None else (max(ii) + 1 if ii else 1)
-    ncols = cols if cols is not None else (max(jj) + 1 if jj else 1)
-    if symmetric:
-        nrows = ncols = max(nrows, ncols)
-    coo = coo_matrix((vv, (ii, jj)), shape=(nrows, ncols))
-    return SparseMatrix.from_scipy(coo.tocsr(), symmetric=symmetric)
+    a = coo_matrix((vv, (ii, jj)), shape=(rows, cols)).tocsr()
+    if symmetric:  # mirror the strict upper triangle; the supports are disjoint
+        a = a + triu(a, k=1, format="csr").T
+    return SparseMatrix.from_scipy(a, symmetric=symmetric)

@@ -155,7 +155,7 @@ def test_truncation_run():
         alpha=8.0, mu=1.0, n=500, replicates=50, master_seed=MASTER_SEED,
         standardize=True,
     )
-    report = run_truncation_experiment(cfg, gamma=0.2, gamma_prime=0.5, kappa=1.5)
+    report = run_truncation_experiment(cfg, gamma=0.2, gamma_prime=0.5)
     failed = report_lines(report)
     print(f"elapsed {report.elapsed_s:.1f}s")
     assert not failed, failed

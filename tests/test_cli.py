@@ -82,8 +82,8 @@ def test_sample_writes_csv(tmp_path, capsys):
     assert code == 0
     assert f"wrote {path}" in out
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "i,j,value"
-    i, j, value = lines[1].split(",")
+    assert lines[:2] == ["# rows=25 cols=25 symmetric=false", "i,j,value"]
+    i, j, value = lines[2].split(",")
     assert 0 <= int(i) < 25 and 0 <= int(j) < 25
     float(value)
 
@@ -119,7 +119,7 @@ def test_spectrum_roundtrip_csv_and_solver_agreement(tmp_path, capsys):
     )[0] == 0
 
     code, out_lanczos, _ = run(
-        capsys, ["spectrum", "--in", str(path), "--k", "2", "--tol", "1e-10"]
+        capsys, ["spectrum", "--in", str(path), "--k", "2"]
     )
     assert code == 0
     code, out_dense, _ = run(
@@ -173,6 +173,38 @@ def test_spectrum_missing_file(capsys):
     code, _, err = run(capsys, ["spectrum", "--in", "/nonexistent/m.csv"])
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "hermitian"])
+def test_spectrum_of_a_saved_sample_matches_the_sample(shape, tmp_path, capsys):
+    # At mu = 0 most of these samples have empty trailing rows or columns,
+    # which the file keeps through its description line.
+    path = tmp_path / "m.csv"
+    for seed in range(1, 7):
+        flags = ["--alpha", "1", "--mu", "0", "--n", "40", "--seed", str(seed), "--shape", shape]
+        assert run(capsys, ["sample", *flags, "--out", str(path)])[0] == 0
+        for solver in ("lanczos", "dense"):
+            tail = ["--solver", solver, "--k", "3"]
+            sampled = run(capsys, ["spectrum", *flags, *tail])
+            loaded = run(capsys, ["spectrum", "--in", str(path), *tail])
+            assert loaded == sampled and sampled[0] == 0, (seed, solver)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "i,j,value\n0,0,1.0\n",
+        "# rows=2 cols=2 symmetric=false\ni,j,value\n2,0,1.0\n",
+        "# rows=2 cols=3 symmetric=true\ni,j,value\n0,0,1.0\n",
+    ],
+    ids=["no-description", "outside-shape", "symmetric-not-square"],
+)
+def test_spectrum_refuses_a_file_that_does_not_state_its_matrix(text, tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, ["spectrum", "--in", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +350,7 @@ def test_config_key_aliases(tmp_path, capsys):
         ["sample", "--alpha", "1", "--mu", "1", "--n", "25", "--sv", "log_power",
          "--sv-beta", "1.0", "--out", str(matrix)],
     )[0] == 0
-    cfg = write_config(
-        tmp_path, f"[spectrum]\nin = {matrix}\nk = 2\nsymmetric = false\n"
-    )
+    cfg = write_config(tmp_path, f"[spectrum]\nin = {matrix}\nk = 2\n")
     code, out, _ = run(capsys, ["--config", cfg, "spectrum"])
     assert code == 0
     assert sum("residual=" in l for l in out.split("\n")) == 2
@@ -336,21 +366,20 @@ FLAGS_AND_INI = {
         "sv_beta = 1\nstandardize = yes\nseed = 7\n",
     ),
     "spectrum-in": (
-        ["--in", "m.csv", "--k", "2", "--solver", "dense", "--solver-seed", "3",
-         "--no-symmetric", "--out", "s.json"],
-        "in = m.csv\nk = 2\nsolver = dense\nsolver-seed = 3\nsymmetric = no\n"
-        "out = s.json\n",
+        ["--in", "m.csv", "--k", "2", "--solver", "dense", "--no-standardize",
+         "--out", "s.json"],
+        "in = m.csv\nk = 2\nsolver = dense\nstandardize = no\nout = s.json\n",
     ),
     "spectrum-dests": (
-        ["--in", "m.csv", "--sv", "log_power", "--sv-c", "2", "--symmetric"],
-        "infile = m.csv\nsv_kind = log_power\nsv-c = 2\nsymmetric = on\n",
+        ["--in", "m.csv", "--sv", "log_power", "--sv-c", "2", "--standardize"],
+        "infile = m.csv\nsv_kind = log_power\nsv-c = 2\nstandardize = on\n",
     ),
     "experiment": (
         ["--kind", "poisson", "--alpha", "1", "--mu", "1", "--n", "40",
-         "--replicates", "3", "--solver-tol", "1e-9", "--master-seed", "9",
+         "--replicates", "3", "--support-min", "2", "--master-seed", "9",
          "--no-timing", "--top-k", "2"],
         "kind = poisson\nalpha = 1\nmu = 1\nn = 40\nreplicates = 3\n"
-        "solver_tol = 1e-9\nmaster-seed = 9\ntiming = no\ntop_k = 2\n",
+        "support_min = 2\nmaster-seed = 9\ntiming = no\ntop_k = 2\n",
     ),
     "experiment-truncation": (
         ["--kind", "truncation", "--alpha", "8", "--mu", "1", "--n", "50",
@@ -447,6 +476,34 @@ def test_thresholds_option_removed(tmp_path, capsys):
     code, _, err = run(capsys, ["--config", cfg, *flags])
     assert code == 1
     assert "unknown key 'thresholds'" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, key",
+    [
+        ("experiment", ["--solver-tol", "1e-9"], "solver_tol = 1e-9"),
+        ("experiment", ["--kappa", "2"], "kappa = 2"),
+        ("spectrum", ["--tol", "1e-9"], "tol = 1e-9"),
+        ("spectrum", ["--solver-seed", "3"], "solver_seed = 3"),
+        ("spectrum", ["--symmetric"], "symmetric = yes"),
+        ("spectrum", ["--no-symmetric"], "symmetric = no"),
+    ],
+)
+def test_solver_kappa_and_file_options_removed(command, flag, key, tmp_path, capsys):
+    # One solver tolerance, Lanczos seed 0 for spectrum, kappa = 1.5, and
+    # matrix files that state their own shape and symmetry.
+    flags = {
+        "experiment": ["experiment", "--kind", "truncation", "--alpha", "8", "--mu", "1",
+                       "--n", "40", "--replicates", "2"],
+        "spectrum": ["spectrum", "--alpha", "1", "--mu", "1", "--n", "10"],
+    }[command]
+    code, out, err = run(capsys, [*flags, *flag])
+    assert code == 1 and out == ""
+    assert flag[0] in err
+    cfg = write_config(tmp_path, f"[{command}]\n{key}\n")
+    code, out, err = run(capsys, ["--config", cfg, *flags])
+    assert code == 1 and out == ""
+    assert f"unknown key {key.split()[0]!r}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,19 @@ def test_nonconverged_solve_aborts_the_run(monkeypatch, run):
         RUNS[run]()
 
 
+@pytest.mark.parametrize("run", ["poisson", "hermitian-poissonian"])
+def test_halved_eigenvalues_abort_the_run(monkeypatch, run):
+    # A converged-looking solve whose values are half the truth must trip the
+    # inline Rayleigh bound: the slack at SOLVER_TOL is far below a factor 2.
+    def halved(*args, **kwargs):
+        spec = top_eigs(*args, **kwargs)
+        return replace(spec, eigenvalues=spec.eigenvalues * 0.5)
+
+    monkeypatch.setattr(experiments, "top_eigs", halved)
+    with pytest.raises(RuntimeError, match="Rayleigh lower bound violated"):
+        RUNS[run]()
+
+
 def test_rerun_is_bit_identical():
     cfg = poisson_cfg()
     a = run_poisson_experiment(cfg).to_json(include_timing=False)
@@ -147,8 +160,21 @@ def test_config_bounds():
         poisson_cfg(top_k=51)
     with pytest.raises(ValueError):
         poisson_cfg(n=10, top_k=11)  # p = 10 caps top_k
-    with pytest.raises(ValueError):
-        poisson_cfg(solver_tol=1e-13)
+
+
+def test_solver_tolerance_and_kappa_are_constants():
+    with pytest.raises(TypeError):
+        poisson_cfg(solver_tol=1e-9)
+    law, sparsity = TailLaw(alpha=1.5), SparsitySpec.bernoulli(0.5)
+    with pytest.raises(TypeError):
+        ExperimentConfig(law=law, sparsity=sparsity, n=50, solver_tol=1e-9)
+    with pytest.raises(TypeError):
+        run_truncation_experiment(edge_cfg(), gamma=0.2, gamma_prime=0.5, kappa=2.0)
+    assert poisson_cfg().solver_tol == experiments.SOLVER_TOL == 1e-8
+    config = json.loads(payload(run_poisson_experiment(poisson_cfg(replicates=1))))["config"]
+    assert config["solver_tol"] == 1e-8
+    report = json.loads(payload(RUNS["truncation"]()))
+    assert report["config"]["kappa"] == report["aggregates"]["kappa"] == 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +218,6 @@ def test_truncation_guards():
         run_truncation_experiment(cfg, gamma=0.5, gamma_prime=0.5)
     with pytest.raises(ValueError, match="mu/2"):
         run_truncation_experiment(cfg, gamma=0.2, gamma_prime=0.4)
-    with pytest.raises(ValueError, match="kappa"):
-        run_truncation_experiment(cfg, gamma=0.2, gamma_prime=0.5, kappa=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -289,9 +289,11 @@ def test_csv_roundtrip(tmp_path):
     m, a = random_sparse(9, density=0.2)
     path = tmp_path / "m.csv"
     save_matrix_csv(m, path)
-    back = load_matrix_csv(path, rows=m.rows, cols=m.cols)
+    back = load_matrix_csv(path)
     np.testing.assert_array_equal(back.to_dense(), a)
-    header = path.read_text().splitlines()[0]
+    assert not back.symmetric
+    description, header = path.read_text().splitlines()[:2]
+    assert description == f"# rows={m.rows} cols={m.cols} symmetric=false"
     assert header == "i,j,value"
 
 
@@ -300,10 +302,12 @@ def test_csv_roundtrip_symmetric(tmp_path):
     path = tmp_path / "m.csv"
     save_matrix_csv(m, path)
     # symmetric files store only i <= j
-    body = path.read_text().splitlines()[1:]
-    assert all(int(line.split(",")[0]) <= int(line.split(",")[1]) for line in body)
-    back = load_matrix_csv(path, rows=m.rows, cols=m.cols, symmetric=True)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# rows=60 cols=60 symmetric=true"
+    assert all(int(line.split(",")[0]) <= int(line.split(",")[1]) for line in lines[2:])
+    back = load_matrix_csv(path)
     np.testing.assert_array_equal(back.to_dense(), a)
+    assert back.symmetric
 
 
 def test_csv_values_bit_exact(tmp_path):
@@ -315,37 +319,70 @@ def test_csv_values_bit_exact(tmp_path):
     m = sample_matrix(spec)
     path = tmp_path / "m.csv"
     save_matrix_csv(m, path)
-    back = load_matrix_csv(path, rows=m.rows, cols=m.cols)
+    back = load_matrix_csv(path)
     np.testing.assert_array_equal(back.values, m.values)  # repr round trip
+
+
+RECT_2X2 = "# rows=2 cols=2 symmetric=false\n"
+SYM_2X2 = "# rows=2 cols=2 symmetric=true\n"
 
 
 def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("x,y,z\n0,0,1.0\n")
-    with pytest.raises(ValueError):
+    path.write_text(RECT_2X2 + "x,y,z\n0,0,1.0\n")
+    with pytest.raises(ValueError, match="header"):
         load_matrix_csv(path)
 
 
 def test_csv_rejects_repeated_entry(tmp_path):
     path = tmp_path / "m.csv"
-    path.write_text("i,j,value\n0,1,2.0\n1,0,5.0\n0,1,2.0\n")
-    with pytest.raises(ValueError, match=r"line 4: entry \(0, 1\) repeats line 2"):
+    path.write_text(RECT_2X2 + "i,j,value\n0,1,2.0\n1,0,5.0\n0,1,2.0\n")
+    with pytest.raises(ValueError, match=r"line 5: entry \(0, 1\) repeats line 3"):
         load_matrix_csv(path)
     # in a symmetric file an entry and the mirror the loader adds are one entry
-    path.write_text("i,j,value\n0,1,2.0\n1,1,3.0\n")
-    m = load_matrix_csv(path, symmetric=True)
-    np.testing.assert_array_equal(m.to_dense(), [[0.0, 2.0], [2.0, 3.0]])
-    path.write_text("i,j,value\n0,1,2.0\n1,1,3.0\n0,1,2.0\n")
-    with pytest.raises(ValueError, match="line 4"):
-        load_matrix_csv(path, symmetric=True)
-
-
-def test_csv_dims_inferred(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("i,j,value\n0,0,1.0\n2,3,-4.0\n")
+    path.write_text(SYM_2X2 + "i,j,value\n0,1,2.0\n1,1,3.0\n")
     m = load_matrix_csv(path)
-    assert (m.rows, m.cols) == (3, 4)
+    np.testing.assert_array_equal(m.to_dense(), [[0.0, 2.0], [2.0, 3.0]])
+    path.write_text(SYM_2X2 + "i,j,value\n0,1,2.0\n1,1,3.0\n0,1,2.0\n")
+    with pytest.raises(ValueError, match="line 5"):
+        load_matrix_csv(path)
+
+
+def test_csv_shape_from_description(tmp_path):
+    # trailing empty rows and columns survive: the shape is stated, not inferred
+    path = tmp_path / "m.csv"
+    path.write_text("# rows=4 cols=6 symmetric=false\ni,j,value\n0,0,1.0\n2,3,-4.0\n")
+    m = load_matrix_csv(path)
+    assert (m.rows, m.cols) == (4, 6)
     assert m.to_dense()[2, 3] == -4.0
+    path.write_text("# rows=3 cols=3 symmetric=false\ni,j,value\n")
+    assert load_matrix_csv(path).to_dense().shape == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("i,j,value\n0,0,1.0\n", "rows=R cols=C"),  # no description line
+        ("# rows=2 cols=2\ni,j,value\n0,0,1.0\n", "rows=R cols=C"),
+        (RECT_2X2 + "i,j,value\n0,2,1.0\n", r"line 3: entry \(0, 2\) outside 2 x 2"),
+        (RECT_2X2 + "i,j,value\n-1,0,1.0\n", "outside"),
+        ("# rows=2 cols=3 symmetric=true\ni,j,value\n0,1,1.0\n", "2 x 3"),
+        (SYM_2X2 + "i,j,value\n1,0,1.0\n", "only i <= j"),
+    ],
+)
+def test_csv_refuses_a_file_that_does_not_state_its_matrix(tmp_path, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_matrix_csv(path)
+
+
+def test_csv_loader_takes_no_shape_or_symmetry(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(SYM_2X2 + "i,j,value\n0,1,2.0\n")
+    for kw in ({"rows": 2}, {"cols": 2}, {"symmetric": True}):
+        with pytest.raises(TypeError):
+            load_matrix_csv(path, **kw)
 
 
 def test_ranked_entry_is_frozen():
