@@ -71,15 +71,15 @@ from .stats import (
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
+    RUN_KINDS,
     ReplicateRecord,
     derive_replicate_seed,
     make_config,
     run_edge_experiment,
-    run_hermitian_experiment,
+    run_experiment,
     run_invariant_suite,
     run_phase_sweep,
     run_poisson_experiment,
-    run_truncation_experiment,
     truncation_window,
 )
 
@@ -136,10 +136,10 @@ __all__ = [
     "ExperimentReport",
     "derive_replicate_seed",
     "make_config",
+    "RUN_KINDS",
+    "run_experiment",
     "run_poisson_experiment",
     "run_edge_experiment",
-    "run_hermitian_experiment",
-    "run_truncation_experiment",
     "run_phase_sweep",
     "run_invariant_suite",
     "truncation_window",

@@ -23,7 +23,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .limits import EDGE, classify_regime
+from .limits import classify_regime
 from .matrices import SparseMatrix, load_matrix_csv, norms, save_matrix_csv, top_entries
 from .spectral import SOLVER_DENSE, SOLVER_LANCZOS, eig_dense_symmetric, top_eigs
 from .tails import (
@@ -37,18 +37,14 @@ from .tails import (
     sample_matrix,
 )
 from .experiments import (
+    RUN_KINDS,
     SOLVER_TOL,
     make_config,
-    run_edge_experiment,
-    run_hermitian_experiment,
+    run_experiment,
     run_invariant_suite,
     run_phase_sweep,
-    run_poisson_experiment,
-    run_truncation_experiment,
     sweep_to_csv,
 )
-
-EXPERIMENT_KINDS = ("poisson", "edge", "hermitian", "truncation")
 
 
 class UsageError(Exception):
@@ -144,7 +140,7 @@ def _add_ensemble_args(sub: argparse.ArgumentParser, single_matrix: bool = True)
     sub.add_argument("--support-min", type=float, default=1.0)
     sub.add_argument(
         "--standardize", action=argparse.BooleanOptionalAction,
-        help="standardize the law (default: off; an experiment chooses by kind)",
+        help="standardize the law (default: off; experiment: on exactly where the run requires it)",
     )
 
 
@@ -173,13 +169,12 @@ def build_parser() -> _Parser:
     spectrum.add_argument("--out", help="write the result as JSON")
 
     experiment = subs.add_parser("experiment", help="replicated run with verdicts")
-    experiment.add_argument("--kind", choices=EXPERIMENT_KINDS)
+    experiment.add_argument("--kind", choices=tuple(RUN_KINDS))
     _add_ensemble_args(experiment, single_matrix=False)
     experiment.add_argument("--replicates", type=int, default=20)
     experiment.add_argument("--top-k", type=int, default=5)
     experiment.add_argument("--master-seed", type=int, default=0)
     experiment.add_argument("--gamma", type=float, help="truncation level exponent")
-    experiment.add_argument("--gamma-prime", type=float)
     experiment.add_argument("--report", help="write the full report as JSON")
     experiment.add_argument("--csv", help="write the per-replicate summary as CSV")
     experiment.add_argument(
@@ -297,18 +292,16 @@ def _print_verdicts(verdicts) -> None:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     _require(args, ("kind", "alpha", "mu", "n"))
+    run = RUN_KINDS[args.kind]
     if args.standardize is None:
-        regime = classify_regime(args.alpha, args.mu)
-        args.standardize = args.kind in ("edge", "truncation") or (
-            args.kind == "hermitian" and regime == EDGE
-        )
+        args.standardize = run.standardizes(classify_regime(args.alpha, args.mu))
     cfg = make_config(
         alpha=args.alpha,
         mu=args.mu,
         n=args.n,
         rho=args.rho,
         replicates=args.replicates,
-        shape=HERMITIAN if args.kind == "hermitian" else RECTANGULAR,
+        shape=run.shape,
         top_k=args.top_k,
         master_seed=args.master_seed,
         standardize=args.standardize,
@@ -317,14 +310,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         sv_beta=args.sv_beta,
         support_min=args.support_min,
     )
-    if args.kind == "poisson":
-        report = run_poisson_experiment(cfg)
-    elif args.kind == "edge":
-        report = run_edge_experiment(cfg)
-    elif args.kind == "hermitian":
-        report = run_hermitian_experiment(cfg)
-    else:
-        report = run_truncation_experiment(cfg, gamma=args.gamma, gamma_prime=args.gamma_prime)
+    report = run_experiment(cfg, args.kind, gamma=args.gamma)
     _print_verdicts(report.verdicts)
     if args.report:
         report.save_json(args.report, include_timing=args.timing)

@@ -6,12 +6,13 @@ picture predicts: entry/eigenvalue ratios, Frechet fit of the rescaled top
 eigenvalue, Poisson exceedance counts, Marchenko-Pastur fit of the bulk, and
 localization frequencies.
 
-Every replicate of the poisson, edge and hermitian runs and of the phase
-sweep runs one staged pipeline (sample, rank entries, solve, exact bounds,
-per-kind measurements); what sets the kinds apart is data on a ``_Kind``.
-Each run judges its aggregates through one table of ``(criterion, observed,
-bound)`` rows, so a report is self-judging: every verdict carries the
-tolerance it was calibrated at.
+``run_experiment(cfg, kind)`` runs every kind named in ``RUN_KINDS``, whose
+rows hold what sets a kind apart.  The poisson, edge and hermitian replicates
+and the phase sweep's run one staged pipeline (sample, rank entries, solve,
+exact bounds, per-kind measurements) parametrized by a ``_Kind``.  Each run
+judges its aggregates through one table of ``(criterion, observed, bound)``
+rows, so a report is self-judging: every verdict carries the tolerance it was
+calibrated at.
 
 Replicate ``r`` of a run draws everything from
 ``derive_replicate_seed(master_seed, r)``; reports are therefore a pure
@@ -395,31 +396,6 @@ def _mean(values: list[float]) -> float:
     return float(np.mean(values)) if values else math.nan
 
 
-def _check_regime(cfg: ExperimentConfig, name: str, shape: str, wanted: str | None = None) -> str:
-    """Regime of ``cfg`` once the run's guards pass: the ensemble ``shape``,
-    not the critical line, ``wanted`` when given, and in the edge regime a
-    standardized law, since standardization is part of that hypothesis."""
-    if cfg.shape != shape:
-        raise ValueError(f"{name} experiment runs the {shape} ensemble")
-    regime = classify_regime(cfg.regime.alpha, cfg.regime.mu)
-    if regime == CRITICAL:
-        raise ValueError(
-            f"(alpha, mu) = ({cfg.regime.alpha}, {cfg.regime.mu}) sits on the critical "
-            "line alpha = 2 (1 + 1/mu); no limit is claimed there"
-        )
-    if wanted is not None and regime != wanted:
-        raise ValueError(
-            f"{name} experiment requires the {wanted} regime but "
-            f"(alpha, mu) = ({cfg.regime.alpha}, {cfg.regime.mu}) classifies as {regime}"
-        )
-    if regime == EDGE and not cfg.law.standardize:
-        raise ValueError(
-            f"{name} experiment in the edge regime requires a standardized law "
-            "(mean zero, variance one)"
-        )
-    return regime
-
-
 def _interlacing_spot(cfg: ExperimentConfig) -> dict:
     """Deterministically chosen replicate gets a full interlacing verification."""
     r_star = mix64(cfg.master_seed, _SPOT_REPLICATE_TAG) % cfg.replicates
@@ -613,33 +589,81 @@ def _pair_mass_fields(cfg: ExperimentConfig, spec, ranked) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Poissonian regime, covariance ensemble
+# Run kinds: a row of RUN_KINDS each, and one driver
 
 
-def run_poisson_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+@dataclass(frozen=True)
+class _Setup:
+    """A run's replicate function and the constants it was built from."""
+
+    replicate: Callable  # r -> ReplicateRecord
+    dense: bool = False  # dense-route replicates run one at a time
+    constants: dict = field(default_factory=dict)  # the report's leading aggregates
+    config: dict = field(default_factory=dict)  # added to the report's config
+
+
+@dataclass(frozen=True)
+class _RunKind:
+    """One experiment kind: its guard, its replicates, and how they are judged."""
+
+    shape: str
+    regimes: tuple[str, ...]  # the classified regimes the run accepts
+    standardized: bool  # a standardized law in every regime, not only at the edge
+    setup: Callable  # (cfg, regime, gamma) -> _Setup
+    aggregates_and_rows: Callable  # (cfg, regime, records, spot) -> (aggregates, rows)
+    spot: bool = True  # an interlacing spot check, judged in the last row
+    takes_gamma: bool = False  # accepts a truncation level exponent
+
+    def standardizes(self, regime: str) -> bool:
+        """Whether a run in ``regime`` needs a standardized law."""
+        return self.standardized or regime == EDGE
+
+
+def _check_regime(cfg: ExperimentConfig, name: str, run: _RunKind) -> str:
+    """Regime of ``cfg`` once the run's guards pass: the row's ensemble shape,
+    one of its regimes, and a standardized law wherever it needs one."""
+    if cfg.shape != run.shape:
+        raise ValueError(f"{name} experiment runs the {run.shape} ensemble")
+    regime = classify_regime(cfg.regime.alpha, cfg.regime.mu)
+    if regime not in run.regimes:
+        if regime == CRITICAL:
+            raise ValueError(
+                f"(alpha, mu) = ({cfg.regime.alpha}, {cfg.regime.mu}) sits on the critical "
+                "line alpha = 2 (1 + 1/mu); no limit is claimed there"
+            )
+        raise ValueError(
+            f"{name} experiment requires the {' or '.join(run.regimes)} regime but "
+            f"(alpha, mu) = ({cfg.regime.alpha}, {cfg.regime.mu}) classifies as {regime}"
+        )
+    if run.standardizes(regime) and not cfg.law.standardize:
+        raise ValueError(
+            f"{name} experiment in the {regime} regime requires a standardized law "
+            "(alpha > 2, mean zero, variance one)"
+        )
+    return regime
+
+
+def _poisson_setup(cfg: ExperimentConfig, regime: str, gamma) -> _Setup:
+    reg = cfg.regime
+    cnp = c_np(cfg.law, reg.n, reg.p, reg.mu)
+    kind = _kind(cfg, _basis_fields, scale=cnp ** 2, residuals=True)
+    return _Setup(lambda r: _replicate(cfg, kind, r), constants={"c_np": cnp})
+
+
+def _poisson_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
     """Heavy-tailed covariance run: extremes follow the largest entries.
 
     Verdict tolerances are calibrated for the canonical scale (n = 500,
     200 replicates, alpha = 1, mu = 1); smaller runs still report them.
     """
-    _check_regime(cfg, "poisson", RECTANGULAR, POISSONIAN)
-    t0 = time.perf_counter()
-    reg = cfg.regime
-    cnp = c_np(cfg.law, reg.n, reg.p, reg.mu)
-    kind = _kind(cfg, _basis_fields, scale=cnp ** 2, residuals=True)
-    records = _map_replicates(lambda r: _replicate(cfg, kind, r), cfg.replicates)
-
     ratio1 = [rec.ratios["entry"][0] for rec in records if rec.ratios["entry"]]
     deeper = [x for rec in records if not rec.ambiguous for x in rec.ratios["entry"][1:]]
     law, law_rows = _poisson_limits(
-        records, reg.alpha / kind.entry_power, "KS(top eigenvalue / c_np^2, Frechet(alpha/2))"
+        records, cfg.regime.alpha / 2, "KS(top eigenvalue / c_np^2, Frechet(alpha/2))"
     )
     dist1 = [rec.loc_dist for rec in records]
     loc_freq = float(np.mean([d <= 0.2 for d in dist1]))
-    spot = _interlacing_spot(cfg)
-
     aggregates = {
-        "c_np": cnp,
         "median_ratio_entry_1": _median(ratio1),
         "median_ratio_entry_rest": _median(deeper),
         **law,
@@ -653,37 +677,21 @@ def run_poisson_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         ("median entry ratio in [0.9, 1.1]", aggregates["median_ratio_entry_1"], (0.9, 1.1)),
         *law_rows,
         ("basis distance <= 0.2 in >= 80% of replicates", loc_freq, (0.8, math.inf)),
-        _spot_row(spot),
     ]
-    return ExperimentReport(
-        "poisson", _config_dict(cfg), records, aggregates, _verdicts(rows),
-        time.perf_counter() - t0,
-    )
+    return aggregates, rows
 
 
-# ---------------------------------------------------------------------------
-# Edge regime, covariance ensemble
+def _edge_setup(cfg: ExperimentConfig, regime: str, gamma) -> _Setup:
+    kind = _kind(cfg, _mass_fields, dense=cfg.regime.p <= DENSE_DIM_LIMIT)
+    return _Setup(lambda r: _replicate(cfg, kind, r), dense=kind.dense)
 
 
-def run_edge_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Light-tailed covariance run: Marchenko-Pastur bulk and edge,
-    delocalized top eigenvector.
-
-    Standardization is part of the hypothesis, so unstandardized laws are
-    refused.  When ``p`` fits the dense limit the full spectrum feeds an ESD
-    comparison; otherwise only the top eigenvalues are computed.
-    """
-    _check_regime(cfg, "edge", RECTANGULAR, EDGE)
-    t0 = time.perf_counter()
-    reg = cfg.regime
-    kind = _kind(cfg, _mass_fields, dense=reg.p <= DENSE_DIM_LIMIT)
-    records = _map_replicates(lambda r: _replicate(cfg, kind, r), cfg.replicates, kind.dense)
-
+def _edge_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
+    """Light-tailed covariance run: Marchenko-Pastur bulk and edge, delocalized
+    top eigenvector.  The ESD's KS row needs the dense route's full spectrum."""
     mean_edge1 = float(np.mean([rec.ratios["edge"][0] for rec in records]))
     ks_values = [rec.extra["ks_mp"] for rec in records if rec.extra["ks_mp"] is not None]
     mean_ks = _mean(ks_values)
-    spot = _interlacing_spot(cfg)
-    edge_const = (1.0 + math.sqrt(reg.rho)) ** 2
 
     def mean_over_records(key: str) -> dict:
         return {
@@ -693,7 +701,7 @@ def run_edge_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     aggregates = {
         "mean_ratio_edge_1": mean_edge1,
-        "mean_top_over_n_mu": mean_edge1 * edge_const,
+        "mean_top_over_n_mu": mean_edge1 * (1.0 + math.sqrt(cfg.regime.rho)) ** 2,
         "mean_ks_mp": mean_ks,
         "localized_freq": mean_over_records("localized"),
         "mean_mass": mean_over_records("mass"),
@@ -710,18 +718,18 @@ def run_edge_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         ),
         *(ks_rows if ks_values else []),
         ("localization frequency at (floor(p^0.3), 0.3) <= 10%", loc_freq, (-math.inf, 0.10)),
-        _spot_row(spot),
     ]
-    return ExperimentReport(
-        "edge", _config_dict(cfg), records, aggregates, _verdicts(rows), time.perf_counter() - t0
-    )
+    return aggregates, rows
 
 
-# ---------------------------------------------------------------------------
-# Hermitian ensemble, both regimes
+def _hermitian_setup(cfg: ExperimentConfig, regime: str, gamma) -> _Setup:
+    scale_c = c_n(cfg.law, cfg.regime.n, cfg.regime.mu)
+    localize = _pair_fields if regime == POISSONIAN else _pair_mass_fields
+    kind = _kind(cfg, localize, scale=scale_c)
+    return _Setup(lambda r: _replicate(cfg, kind, r), constants={"c_n": scale_c})
 
 
-def run_hermitian_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def _hermitian_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
     """Symmetric-matrix run; the regime decides which limit is checked.
 
     Poissonian: eigenvalues follow entry magnitudes (``c_n`` normalization,
@@ -729,22 +737,13 @@ def run_hermitian_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     two-site pair vectors.  Edge: the top eigenvalue sits at twice the
     semicircle scale ``n^(mu/2)`` and the top eigenvector delocalizes.
     """
-    regime = _check_regime(cfg, "hermitian", HERMITIAN)
-    t0 = time.perf_counter()
     reg = cfg.regime
-    scale_c = c_n(cfg.law, reg.n, reg.mu)
-    localize = _pair_fields if regime == POISSONIAN else _pair_mass_fields
-    kind = _kind(cfg, localize, scale=scale_c)
-    records = _map_replicates(lambda r: _replicate(cfg, kind, r), cfg.replicates)
-    spot = _interlacing_spot(cfg)
-
     ratio1 = [
         rec.ratios["entry"][0] for rec in records if rec.pairing_valid and rec.pairing_valid[0]
     ]
     pair1 = [rec.loc_dist for rec in records]
     pair_freq = float(np.mean([d <= 0.25 for d in pair1]))
     aggregates = {
-        "c_n": scale_c,
         "regime": regime,
         "median_ratio_entry_1": _median(ratio1),
         "median_pair_dist_1": _median(pair1),
@@ -754,35 +753,21 @@ def run_hermitian_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "interlacing_spot": spot,
     }
     if regime == POISSONIAN:
-        law, law_rows = _poisson_limits(
-            records, reg.alpha / kind.entry_power, "KS(top eigenvalue / c_n, Frechet(alpha))"
-        )
+        law, law_rows = _poisson_limits(records, reg.alpha, "KS(top eigenvalue / c_n, Frechet(alpha))")
         aggregates.update(law)
-        rows = [
+        return aggregates, [
             ("median entry ratio in [0.9, 1.1]", aggregates["median_ratio_entry_1"], (0.9, 1.1)),
             *law_rows,
             ("pair distance <= 0.25 in >= 75% of replicates", pair_freq, (0.75, math.inf)),
         ]
-    else:
-        mean_top = float(
-            np.mean([rec.eigs[0] / float(reg.n) ** (reg.mu / 2.0) for rec in records])
-        )
-        loc_freq = float(np.mean([rec.extra["localized_headline"] for rec in records]))
-        aggregates["mean_top_over_n_half_mu"] = mean_top
-        aggregates["localized_freq_headline"] = loc_freq
-        rows = [
-            ("mean top eigenvalue / n^(mu/2) in [1.7, 2.3]", mean_top, (1.7, 2.3)),
-            ("localization frequency at (floor(n^0.3), 0.3) <= 10%", loc_freq, (-math.inf, 0.10)),
-        ]
-    rows.append(_spot_row(spot))
-    return ExperimentReport(
-        "hermitian", _config_dict(cfg), records, aggregates, _verdicts(rows),
-        time.perf_counter() - t0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Truncation experiment
+    mean_top = float(np.mean([rec.eigs[0] / float(reg.n) ** (reg.mu / 2.0) for rec in records]))
+    loc_freq = float(np.mean([rec.extra["localized_headline"] for rec in records]))
+    aggregates["mean_top_over_n_half_mu"] = mean_top
+    aggregates["localized_freq_headline"] = loc_freq
+    return aggregates, [
+        ("mean top eigenvalue / n^(mu/2) in [1.7, 2.3]", mean_top, (1.7, 2.3)),
+        ("localization frequency at (floor(n^0.3), 0.3) <= 10%", loc_freq, (-math.inf, 0.10)),
+    ]
 
 
 def truncation_window(alpha: float, mu: float) -> tuple[float, float]:
@@ -849,47 +834,33 @@ def _truncation_replicate(
     )
 
 
-def run_truncation_experiment(
-    cfg: ExperimentConfig,
-    gamma: float | None = None,
-    gamma_prime: float | None = None,
-) -> ExperimentReport:
-    """Split entries at ``n^gamma`` and verify the two truncation facts:
-    the small part has Gram norm below ``kappa n^(2 gamma') (1+sqrt(rho))^2``
-    (``kappa = TRUNCATION_KAPPA``) and the large part is dominated by the
-    single largest entry.
-    """
-    if cfg.shape != RECTANGULAR:
-        raise ValueError("truncation experiment runs the rectangular ensemble")
-    alpha, mu = cfg.regime.alpha, cfg.regime.mu
-    if alpha <= 2:
-        raise ValueError(f"truncation experiment requires alpha > 2, got alpha = {alpha}")
-    if not cfg.law.standardize:
-        raise ValueError("truncation experiment requires a standardized law")
-    if gamma is None or gamma_prime is None:
-        default_gamma, default_gp = truncation_window(alpha, mu)
-        gamma = default_gamma if gamma is None else gamma
-        gamma_prime = default_gp if gamma_prime is None else gamma_prime
+def _truncation_setup(cfg: ExperimentConfig, regime: str, gamma: float | None) -> _Setup:
+    """Split entries at ``n^gamma``; ``gamma`` defaults to the window's, and
+    ``gamma'`` is always the window's (``mu/2`` in the edge regime)."""
+    reg = cfg.regime
+    default_gamma, gamma_prime = truncation_window(reg.alpha, reg.mu)
+    gamma = default_gamma if gamma is None else gamma
     if not gamma_prime > gamma:
         raise ValueError(f"hypothesis gamma_prime > gamma violated: {gamma_prime} <= {gamma}")
-    if not gamma_prime >= mu / 2.0:
-        raise ValueError(
-            f"hypothesis gamma_prime >= mu/2 violated: {gamma_prime} < {mu / 2.0}"
-        )
-    t0 = time.perf_counter()
-    reg = cfg.regime
     level = float(reg.n) ** gamma
     bound = TRUNCATION_KAPPA * reg.n ** (2.0 * gamma_prime) * (1.0 + math.sqrt(reg.rho)) ** 2
-    records = _map_replicates(lambda r: _truncation_replicate(cfg, r, level, bound), cfg.replicates)
+    window = {"gamma": gamma, "gamma_prime": gamma_prime, "kappa": TRUNCATION_KAPPA}
+    return _Setup(
+        lambda r: _truncation_replicate(cfg, r, level, bound),
+        constants={**window, "level": level, "norm_bound": bound},
+        config=window,
+    )
+
+
+def _truncation_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
+    """The two truncation facts: the small part has Gram norm below
+    ``kappa n^(2 gamma') (1+sqrt(rho))^2`` (``kappa = TRUNCATION_KAPPA``) and
+    the large part is dominated by the single largest entry."""
     exceed_freq = float(np.mean([rec.extra["exceeded"] for rec in records]))
     defined = [rec.extra["ratio_inf"] for rec in records if rec.extra["mprime_nnz"] > 0]
     # An empty large part leaves ratio_inf undefined (nan), which fails the test.
     ratio_freq = float(np.mean([rec.extra["ratio_inf"] <= 1.2 for rec in records]))
-    window = {"gamma": gamma, "gamma_prime": gamma_prime, "kappa": TRUNCATION_KAPPA}
     aggregates = {
-        **window,
-        "level": level,
-        "norm_bound": bound,
         "exceed_freq": exceed_freq,
         "mean_hat_norm": float(np.mean([rec.eigs[0] for rec in records])),
         "ratio_inf_freq_12": ratio_freq,
@@ -904,10 +875,50 @@ def run_truncation_experiment(
             (0.90, math.inf),
         ),
     ]
-    config = {**_config_dict(cfg), **window}
+    return aggregates, rows
+
+
+RUN_KINDS = {
+    "poisson": _RunKind(RECTANGULAR, (POISSONIAN,), False, _poisson_setup, _poisson_aggregates),
+    "edge": _RunKind(RECTANGULAR, (EDGE,), False, _edge_setup, _edge_aggregates),
+    "hermitian": _RunKind(HERMITIAN, (POISSONIAN, EDGE), False, _hermitian_setup, _hermitian_aggregates),
+    "truncation": _RunKind(RECTANGULAR, (POISSONIAN, CRITICAL, EDGE), True, _truncation_setup,
+                           _truncation_aggregates, spot=False, takes_gamma=True),
+}
+
+
+def run_experiment(
+    cfg: ExperimentConfig, kind: str, gamma: float | None = None
+) -> ExperimentReport:
+    """The ``RUN_KINDS`` run ``kind`` on ``cfg``: guard the regime, map the
+    replicates, spot-check interlacing, and judge the aggregates.  Only a kind
+    that truncates takes ``gamma``; ``None`` picks ``truncation_window``'s."""
+    if kind not in RUN_KINDS:
+        raise ValueError(f"unknown experiment kind {kind!r}; one of {tuple(RUN_KINDS)}")
+    run = RUN_KINDS[kind]
+    regime = _check_regime(cfg, kind, run)
+    if gamma is not None and not run.takes_gamma:
+        raise ValueError(f"{kind} experiment takes no truncation exponent gamma")
+    t0 = time.perf_counter()
+    setup = run.setup(cfg, regime, gamma)
+    records = _map_replicates(setup.replicate, cfg.replicates, setup.dense)
+    spot = _interlacing_spot(cfg) if run.spot else None
+    aggregates, rows = run.aggregates_and_rows(cfg, regime, records, spot)
+    if spot is not None:
+        rows.append(_spot_row(spot))
     return ExperimentReport(
-        "truncation", config, records, aggregates, _verdicts(rows), time.perf_counter() - t0
+        kind, {**_config_dict(cfg), **setup.config}, records,
+        {**setup.constants, **aggregates}, _verdicts(rows), time.perf_counter() - t0,
     )
+
+
+# The two runs the benchmark (bench/child.py) calls by name.
+def run_poisson_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    return run_experiment(cfg, "poisson")
+
+
+def run_edge_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    return run_experiment(cfg, "edge")
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,9 @@ from htspec.cli import main
 from htspec.experiments import (
     make_config,
     run_edge_experiment,
-    run_hermitian_experiment,
+    run_experiment,
     run_invariant_suite,
     run_poisson_experiment,
-    run_truncation_experiment,
 )
 from htspec.limits import c_np, frechet_cdf, mp_density
 from htspec.matrices import SparseMatrix, norms
@@ -133,7 +132,7 @@ def test_hermitian_poissonian_run():
         alpha=1.0, mu=1.0, n=500, replicates=200, shape="hermitian", top_k=5,
         master_seed=MASTER_SEED,
     )
-    report = run_hermitian_experiment(cfg)
+    report = run_experiment(cfg, "hermitian")
     failed = report_lines(report)
     print(f"elapsed {report.elapsed_s:.1f}s")
     assert not failed, failed
@@ -144,7 +143,7 @@ def test_hermitian_edge_run():
         alpha=8.0, mu=1.0, n=800, replicates=40, shape="hermitian", top_k=5,
         master_seed=MASTER_SEED, standardize=True,
     )
-    report = run_hermitian_experiment(cfg)
+    report = run_experiment(cfg, "hermitian")
     failed = report_lines(report)
     print(f"elapsed {report.elapsed_s:.1f}s")
     assert not failed, failed
@@ -155,7 +154,8 @@ def test_truncation_run():
         alpha=8.0, mu=1.0, n=500, replicates=50, master_seed=MASTER_SEED,
         standardize=True,
     )
-    report = run_truncation_experiment(cfg, gamma=0.2, gamma_prime=0.5)
+    # gamma' = mu/2 = 0.5 comes from the truncation window
+    report = run_experiment(cfg, "truncation", gamma=0.2)
     failed = report_lines(report)
     print(f"elapsed {report.elapsed_s:.1f}s")
     assert not failed, failed

@@ -246,11 +246,22 @@ def test_experiment_truncation_flags(tmp_path, capsys):
     code, out, _ = run(
         capsys,
         ["experiment", "--kind", "truncation", "--alpha", "8", "--mu", "1",
-         "--n", "50", "--replicates", "3", "--gamma", "0.2",
-         "--gamma-prime", "0.5"],
+         "--n", "50", "--replicates", "3", "--gamma", "0.2"],
     )
     assert code in (0, 2)
     assert "criteria passed" in out
+
+
+def test_experiment_gamma_refused_outside_truncation(capsys):
+    # Only the truncation kind takes --gamma; elsewhere it would go unused.
+    for kind, alpha in (("poisson", "1"), ("edge", "8"), ("hermitian", "1")):
+        code, out, err = run(
+            capsys,
+            ["experiment", "--kind", kind, "--alpha", alpha, "--mu", "1",
+             "--n", "40", "--replicates", "3", "--gamma", "0.3"],
+        )
+        assert code == 1 and out == ""
+        assert "takes no truncation exponent gamma" in err
 
 
 def test_experiment_regime_mismatch_is_config_error(capsys):
@@ -260,9 +271,9 @@ def test_experiment_regime_mismatch_is_config_error(capsys):
          "--n", "40", "--replicates", "2"],
     )
     assert code == 1
-    # the edge kind standardizes by default and alpha = 1 cannot be
-    # standardized, so the run is refused before any sampling
-    assert "alpha" in err
+    # alpha = 1 is Poissonian, so the edge kind does not standardize and its
+    # guard names the regime; the run is refused before any sampling
+    assert "edge regime" in err and "classifies as poissonian" in err
 
 
 def test_experiment_standardize_defaults_by_kind(tmp_path, capsys):
@@ -277,6 +288,17 @@ def test_experiment_standardize_defaults_by_kind(tmp_path, capsys):
     assert code in (0, 2)
     payload = json.loads(report_path.read_text())
     assert payload["config"]["law"]["standardize"] is True
+    # hermitian standardizes exactly in the edge regime, as its guard requires
+    for alpha, standardized in (("8", True), ("1", False)):
+        code, _, _ = run(
+            capsys,
+            ["experiment", "--kind", "hermitian", "--alpha", alpha, "--mu", "1",
+             "--n", "40", "--replicates", "2", "--top-k", "2",
+             "--report", str(report_path)],
+        )
+        assert code in (0, 2)
+        payload = json.loads(report_path.read_text())
+        assert payload["config"]["law"]["standardize"] is standardized
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +405,8 @@ FLAGS_AND_INI = {
     ),
     "experiment-truncation": (
         ["--kind", "truncation", "--alpha", "8", "--mu", "1", "--n", "50",
-         "--gamma", "0.2", "--gamma-prime", "0.5", "--standardize"],
-        "kind = truncation\nalpha = 8\nmu = 1\nn = 50\ngamma = 0.2\n"
-        "gamma_prime = 0.5\nstandardize = true\n",
+         "--gamma", "0.2", "--standardize"],
+        "kind = truncation\nalpha = 8\nmu = 1\nn = 50\ngamma = 0.2\nstandardize = true\n",
     ),
     "sweep": (
         ["--alphas", "1:2:0.5", "--mus", "0.5,1", "--n", "30", "--replicates", "2",
@@ -487,11 +508,13 @@ def test_thresholds_option_removed(tmp_path, capsys):
         ("spectrum", ["--solver-seed", "3"], "solver_seed = 3"),
         ("spectrum", ["--symmetric"], "symmetric = yes"),
         ("spectrum", ["--no-symmetric"], "symmetric = no"),
+        ("experiment", ["--gamma-prime", "0.5"], "gamma_prime = 0.5"),
     ],
 )
 def test_solver_kappa_and_file_options_removed(command, flag, key, tmp_path, capsys):
-    # One solver tolerance, Lanczos seed 0 for spectrum, kappa = 1.5, and
-    # matrix files that state their own shape and symmetry.
+    # One solver tolerance, Lanczos seed 0 for spectrum, kappa = 1.5, gamma'
+    # from the truncation window, and matrix files that state their own shape
+    # and symmetry.
     flags = {
         "experiment": ["experiment", "--kind", "truncation", "--alpha", "8", "--mu", "1",
                        "--n", "40", "--replicates", "2"],

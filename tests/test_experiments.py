@@ -14,11 +14,10 @@ from htspec.experiments import (
     derive_replicate_seed,
     make_config,
     run_edge_experiment,
-    run_hermitian_experiment,
+    run_experiment,
     run_invariant_suite,
     run_phase_sweep,
     run_poisson_experiment,
-    run_truncation_experiment,
     sweep_to_csv,
     truncation_window,
     _map_replicates,
@@ -86,9 +85,9 @@ def test_dense_edge_run_starts_no_thread(monkeypatch):
 RUNS = {
     "poisson": lambda: run_poisson_experiment(poisson_cfg()),
     "edge": lambda: run_edge_experiment(edge_cfg()),
-    "hermitian-poissonian": lambda: run_hermitian_experiment(poisson_cfg(shape="hermitian")),
-    "hermitian-edge": lambda: run_hermitian_experiment(edge_cfg(shape="hermitian")),
-    "truncation": lambda: run_truncation_experiment(edge_cfg(n=60), gamma=0.2, gamma_prime=0.5),
+    "hermitian-poissonian": lambda: run_experiment(poisson_cfg(shape="hermitian"), "hermitian"),
+    "hermitian-edge": lambda: run_experiment(edge_cfg(shape="hermitian"), "hermitian"),
+    "truncation": lambda: run_experiment(edge_cfg(n=60), "truncation", gamma=0.2),
     "sweep": lambda: run_phase_sweep((1.0, 8.0), (1.0,), n=40, replicates=3, master_seed=3),
 }
 
@@ -168,8 +167,9 @@ def test_solver_tolerance_and_kappa_are_constants():
     law, sparsity = TailLaw(alpha=1.5), SparsitySpec.bernoulli(0.5)
     with pytest.raises(TypeError):
         ExperimentConfig(law=law, sparsity=sparsity, n=50, solver_tol=1e-9)
-    with pytest.raises(TypeError):
-        run_truncation_experiment(edge_cfg(), gamma=0.2, gamma_prime=0.5, kappa=2.0)
+    for knob in ({"kappa": 2.0}, {"gamma_prime": 0.5}):
+        with pytest.raises(TypeError):
+            run_experiment(edge_cfg(), "truncation", gamma=0.2, **knob)
     assert poisson_cfg().solver_tol == experiments.SOLVER_TOL == 1e-8
     config = json.loads(payload(run_poisson_experiment(poisson_cfg(replicates=1))))["config"]
     assert config["solver_tol"] == 1e-8
@@ -201,23 +201,30 @@ def test_edge_refuses_other_regimes_and_raw_laws():
 
 def test_hermitian_refuses_wrong_shape_and_critical():
     with pytest.raises(ValueError, match="hermitian"):
-        run_hermitian_experiment(poisson_cfg())
+        run_experiment(poisson_cfg(), "hermitian")
     with pytest.raises(ValueError, match="critical"):
-        run_hermitian_experiment(poisson_cfg(alpha=4.0, shape="hermitian"))
+        run_experiment(poisson_cfg(alpha=4.0, shape="hermitian"), "hermitian")
     with pytest.raises(ValueError, match="standardized"):
-        run_hermitian_experiment(edge_cfg(shape="hermitian", standardize=False))
+        run_experiment(edge_cfg(shape="hermitian", standardize=False), "hermitian")
 
 
 def test_truncation_guards():
     with pytest.raises(ValueError, match="alpha > 2"):
-        run_truncation_experiment(poisson_cfg())
+        run_experiment(poisson_cfg(), "truncation")
     with pytest.raises(ValueError, match="standardized"):
-        run_truncation_experiment(edge_cfg(standardize=False))
-    cfg = edge_cfg()
+        run_experiment(edge_cfg(standardize=False), "truncation")
+    # gamma' is the window's mu/2 = 0.5 here, and gamma must lie below it
     with pytest.raises(ValueError, match="gamma_prime > gamma"):
-        run_truncation_experiment(cfg, gamma=0.5, gamma_prime=0.5)
-    with pytest.raises(ValueError, match="mu/2"):
-        run_truncation_experiment(cfg, gamma=0.2, gamma_prime=0.4)
+        run_experiment(edge_cfg(), "truncation", gamma=0.5)
+
+
+def test_gamma_refused_by_kinds_that_do_not_truncate():
+    for kind, cfg in (("poisson", poisson_cfg()), ("edge", edge_cfg()),
+                      ("hermitian", poisson_cfg(shape="hermitian"))):
+        with pytest.raises(ValueError, match="takes no truncation exponent"):
+            run_experiment(cfg, kind, gamma=0.3)
+    with pytest.raises(ValueError, match="unknown experiment kind"):
+        run_experiment(poisson_cfg(), "critical")
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +309,7 @@ def test_edge_small_run_dense_path():
 
 
 def test_hermitian_small_run_poissonian():
-    report = run_hermitian_experiment(poisson_cfg(shape="hermitian"))
+    report = run_experiment(poisson_cfg(shape="hermitian"), "hermitian")
     check_report_shape(report, "hermitian", 4)
     agg = report.aggregates
     assert agg["regime"] == POISSONIAN
@@ -311,7 +318,7 @@ def test_hermitian_small_run_poissonian():
 
 
 def test_hermitian_small_run_edge():
-    report = run_hermitian_experiment(edge_cfg(shape="hermitian"))
+    report = run_experiment(edge_cfg(shape="hermitian"), "hermitian")
     check_report_shape(report, "hermitian", 3)
     agg = report.aggregates
     assert agg["regime"] == EDGE
@@ -321,7 +328,7 @@ def test_hermitian_small_run_edge():
 
 def test_truncation_small_run():
     cfg = edge_cfg(n=60, replicates=4)
-    report = run_truncation_experiment(cfg, gamma=0.2, gamma_prime=0.5)
+    report = run_experiment(cfg, "truncation", gamma=0.2)
     check_report_shape(report, "truncation", 4)
     agg = report.aggregates
     assert agg["level"] == pytest.approx(60.0**0.2)
@@ -332,7 +339,7 @@ def test_truncation_small_run():
 
 def test_truncation_defaults_applied():
     cfg = edge_cfg(n=60)
-    report = run_truncation_experiment(cfg)
+    report = run_experiment(cfg, "truncation")
     gamma, gp = truncation_window(8.0, 1.0)
     assert report.aggregates["gamma"] == pytest.approx(gamma)
     assert report.aggregates["gamma_prime"] == pytest.approx(gp)
@@ -342,7 +349,7 @@ def test_truncation_run_with_empty_replicates():
     # At mu = 0.1 and n = 3 some replicates store no entry; their large part
     # is empty too, so the ratios are NaN and the verdict counts a failure.
     cfg = edge_cfg(mu=0.1, n=3, replicates=200, top_k=1, master_seed=1)
-    report = run_truncation_experiment(cfg)
+    report = run_experiment(cfg, "truncation")
     empty = [rec for rec in report.records if not rec.entries]
     assert empty
     for rec in empty:
@@ -354,11 +361,66 @@ def test_truncation_run_with_empty_replicates():
     assert json.loads(report.to_json())["replicates"][empty[0].r]["extra"]["ratio_inf"] is None
 
 
+_SPOT = "interlacing spot check"
+_ENTRY_RATIO = "median entry ratio in [0.9, 1.1]"
+_COUNT = "mean count above 1 within 0.3 of prediction"
+_PAIRING = ["invalid_pairing_count", "ambiguous_count", "interlacing_spot"]
+_HERMITIAN_HEAD = ["c_n", "regime", "median_ratio_entry_1", "median_pair_dist_1",
+                   "pair_dist_freq_025", *_PAIRING]
+
+# Per run: the aggregate keys and the verdict criteria, each in report order.
+REPORT_LAYOUT = {
+    "poisson": (
+        ["c_np", "median_ratio_entry_1", "median_ratio_entry_rest", "ks_frechet_top1",
+         "count_test", "median_basis_dist_1", "basis_dist_freq_02", "mean_residual_1",
+         "ambiguous_count", "interlacing_spot"],
+        [_ENTRY_RATIO, "KS(top eigenvalue / c_np^2, Frechet(alpha/2)) <= 0.12", _COUNT,
+         "basis distance <= 0.2 in >= 80% of replicates", _SPOT],
+    ),
+    "edge": (
+        ["mean_ratio_edge_1", "mean_top_over_n_mu", "mean_ks_mp", "localized_freq",
+         "mean_mass", "ambiguous_count", "interlacing_spot"],
+        ["mean top eigenvalue / (n^mu (1+sqrt(rho))^2) in [0.85, 1.15]",
+         "mean KS(ESD, Marchenko-Pastur) <= 0.08",
+         "localization frequency at (floor(p^0.3), 0.3) <= 10%", _SPOT],
+    ),
+    "hermitian-poissonian": (
+        [*_HERMITIAN_HEAD, "ks_frechet_top1", "count_test"],
+        [_ENTRY_RATIO, "KS(top eigenvalue / c_n, Frechet(alpha)) <= 0.12", _COUNT,
+         "pair distance <= 0.25 in >= 75% of replicates", _SPOT],
+    ),
+    "hermitian-edge": (
+        [*_HERMITIAN_HEAD, "mean_top_over_n_half_mu", "localized_freq_headline"],
+        ["mean top eigenvalue / n^(mu/2) in [1.7, 2.3]",
+         "localization frequency at (floor(n^0.3), 0.3) <= 10%", _SPOT],
+    ),
+    "truncation": (
+        ["gamma", "gamma_prime", "kappa", "level", "norm_bound", "exceed_freq",
+         "mean_hat_norm", "ratio_inf_freq_12", "median_ratio_inf", "undefined_count"],
+        ["truncated Gram norm exceedance frequency <= 5%",
+         "residual infinity norm <= 1.2 x top entry in >= 90% of replicates"],
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(REPORT_LAYOUT))
+def test_report_layout(run):
+    # Key and row order are part of the report bytes; the values are not pinned.
+    report = RUNS[run]()
+    keys, criteria = REPORT_LAYOUT[run]
+    assert list(report.aggregates) == keys
+    assert [v["criterion"] for v in report.verdicts] == criteria
+    head = ["alpha", "mu", "rho", "n", "p", "shape", "law", "replicates", "top_k",
+            "thresholds", "master_seed", "solver_tol"]
+    window = ["gamma", "gamma_prime", "kappa"] if run == "truncation" else []
+    assert list(report.config) == head + window
+
+
 def test_interlacing_spot_on_empty_minors():
     # p = 1 rows and a 1 x 1 hermitian matrix leave an empty minor to compare.
     poisson = run_poisson_experiment(poisson_cfg(n=2, rho=0.5, replicates=3, top_k=1))
-    hermitian = run_hermitian_experiment(
-        poisson_cfg(shape="hermitian", n=1, alpha=1.2, mu=0.4, replicates=3, top_k=1)
+    hermitian = run_experiment(
+        poisson_cfg(shape="hermitian", n=1, alpha=1.2, mu=0.4, replicates=3, top_k=1), "hermitian"
     )
     for report, mode in ((poisson, "row_deletion"), (hermitian, "hermitian_minor")):
         spot = report.aggregates["interlacing_spot"]
@@ -370,7 +432,7 @@ def test_poissonian_runs_judge_one_count_threshold():
     # Both ensembles count exceedances of 0.5, 1 and 2 and judge threshold 1.
     for report in (
         run_poisson_experiment(poisson_cfg()),
-        run_hermitian_experiment(poisson_cfg(shape="hermitian")),
+        run_experiment(poisson_cfg(shape="hermitian"), "hermitian"),
     ):
         criteria = [v["criterion"] for v in report.verdicts]
         assert sum(c.startswith("mean count above 1") for c in criteria) == 1
