@@ -9,9 +9,10 @@ localization frequencies.
 ``run_experiment(cfg, kind)`` runs every kind named in ``RUN_KINDS``, whose
 rows hold what sets a kind apart.  The poisson, edge and hermitian replicates
 and the phase sweep's run one staged pipeline (sample, rank entries, solve,
-exact bounds, per-kind measurements) parametrized by a ``_Kind``.  Each run
-judges its aggregates through one table of ``(criterion, observed, bound)``
-rows, so a report is self-judging: every verdict carries the tolerance it was
+exact bounds, per-kind measurements) that reads the ensemble's entry power,
+bounds, pairing rule and edge scale off the sampled matrix.  Each run judges
+its aggregates through one table of ``(criterion, observed, bound)`` rows, so
+a report is self-judging: every verdict carries the tolerance it was
 calibrated at.
 
 Replicate ``r`` of a run draws everything from
@@ -343,9 +344,8 @@ def _gram_sandwich(lam1: float, m: SparseMatrix, tol: float):
     return lower, inf_n, one_n, below_lower, above_upper
 
 
-def _assert_gram_bounds(lam1: float, m: SparseMatrix, tol: float, top) -> tuple[float, float]:
-    """Raise unless the Gram sandwich holds.  The sandwich reads whole rows,
-    so ``top`` goes unused."""
+def _assert_gram_bounds(lam1: float, m: SparseMatrix, tol: float) -> tuple[float, float]:
+    """Raise unless the Gram sandwich holds."""
     lower, inf_n, one_n, below_lower, above_upper = _gram_sandwich(lam1, m, tol)
     if below_lower:
         raise RuntimeError(
@@ -451,41 +451,6 @@ def _poisson_limits(records, a: float, ks_label: str) -> tuple[dict, list[tuple]
 # The staged replicate pipeline
 
 
-@dataclass(frozen=True)
-class _Kind:
-    """What sets one experiment kind's replicates apart; the stages are shared."""
-
-    entry_power: int  # lambda_l pairs with |m_l| ** entry_power
-    assert_bounds: Callable  # (lambda_1, m, solver tol, top entry) -> (inf norm, one norm)
-    pairs: Callable  # whether a ranked entry pairs with the top of the spectrum
-    localize: Callable  # (cfg, spectrum, ranked entries) -> the record's localization fields
-    edge_scale: float  # ratios["edge"] = lambda / edge_scale
-    scale: float | None = None  # points = lambda / scale; None records no points
-    residuals: bool = False  # row residuals of the ranked entries, on the points' scale
-    dense: bool = False  # the full Gram spectrum by dense eigh instead of top-k Lanczos
-
-
-def _gram_pairs(entry) -> bool:
-    return True
-
-
-def _symmetric_pairs(entry) -> bool:
-    # A negative diagonal extreme entry pairs with the bottom of the spectrum,
-    # not the top, so its rank is excluded from ratio aggregates.
-    return not (entry.i == entry.j and entry.theta != 0.0)
-
-
-def _kind(cfg: ExperimentConfig, localize, **data) -> _Kind:
-    """The replicate kind of ``cfg``'s ensemble: Gram eigenvalues pair with
-    squared entries, symmetric ones with entries, each at its own bulk edge."""
-    reg = cfg.regime
-    if cfg.shape == HERMITIAN:
-        edge_scale = 2.0 * float(reg.n) ** (reg.mu / 2.0)
-        return _Kind(1, _assert_symmetric_bounds, _symmetric_pairs, localize, edge_scale, **data)
-    edge_scale = (1.0 + math.sqrt(reg.rho)) ** 2 * float(reg.n) ** reg.mu
-    return _Kind(2, _assert_gram_bounds, _gram_pairs, localize, edge_scale, **data)
-
-
 def _solve(cfg: ExperimentConfig, m: SparseMatrix, r: int, k: int, dense: bool = False):
     """Top ``k`` eigenpairs of ``M M^T`` (or of symmetric ``m``) and the
     solver tolerance the exact bounds allow: the whole Gram spectrum by
@@ -504,16 +469,37 @@ def _solve(cfg: ExperimentConfig, m: SparseMatrix, r: int, k: int, dense: bool =
     return spec, SOLVER_TOL
 
 
-def _replicate(cfg: ExperimentConfig, kind: _Kind, r: int) -> ReplicateRecord:
+def _replicate(
+    cfg: ExperimentConfig,
+    r: int,
+    localize: Callable,
+    scale: float | None = None,
+    residuals: bool = False,
+    dense: bool = False,
+) -> ReplicateRecord:
     """Replicate ``r`` through the stages sample, rank, solve, exact bounds
-    and per-kind measurements; ``time_s`` spans them all."""
+    and per-kind measurements; ``time_s`` spans them all.
+
+    The sampled matrix says its ensemble: Gram eigenvalues pair with squared
+    entries at the Marchenko-Pastur edge, symmetric ones with entries at the
+    semicircle edge.  ``localize(cfg, spectrum, ranked entries)`` gives the
+    localization fields; ``points`` are the eigenvalues over ``scale`` (none
+    without it), and ``residuals`` adds the ranked entries' row residuals on
+    that scale; ``dense`` solves the whole Gram spectrum by ``eigh``.
+    """
     t0 = time.perf_counter()
     m = sample_matrix(_ensemble(cfg, r))
     k = cfg.top_k
     entries, _ = top_entries(m, k + 1)
-    spec, tol = _solve(cfg, m, r, k, kind.dense)
+    spec, tol = _solve(cfg, m, r, k, dense)
     lam = [float(x) for x in spec.eigenvalues[:k]]
-    inf_n, one_n = kind.assert_bounds(lam[0], m, tol, entries[0] if entries else None)
+    reg = cfg.regime
+    if m.symmetric:
+        power, edge_scale = 1, 2.0 * float(reg.n) ** (reg.mu / 2.0)
+        inf_n, one_n = _assert_symmetric_bounds(lam[0], m, tol, entries[0] if entries else None)
+    else:
+        power, edge_scale = 2, (1.0 + math.sqrt(reg.rho)) ** 2 * float(reg.n) ** reg.mu
+        inf_n, one_n = _assert_gram_bounds(lam[0], m, tol)
 
     ranked = entries[:k]
     return ReplicateRecord(
@@ -521,15 +507,18 @@ def _replicate(cfg: ExperimentConfig, kind: _Kind, r: int) -> ReplicateRecord:
         eigs=lam,
         entries=_ranked_lists(ranked),
         ratios={
-            "entry": [x / e.magnitude ** kind.entry_power for x, e in zip(lam, ranked)],
-            "edge": [x / kind.edge_scale for x in lam],
+            "entry": [x / e.magnitude ** power for x, e in zip(lam, ranked)],
+            "edge": [x / edge_scale for x in lam],
         },
         norms={"inf": inf_n, "one": one_n},
-        points=[x / kind.scale for x in lam] if kind.scale is not None else [],
-        residuals=[row_residual(m, e)[1] / kind.scale for e in ranked] if kind.residuals else None,
+        points=[x / scale for x in lam] if scale is not None else [],
+        residuals=[row_residual(m, e)[1] / scale for e in ranked] if residuals else None,
         ambiguous=_is_ambiguous(entries),
-        pairing_valid=[kind.pairs(e) for e in ranked],
-        **kind.localize(cfg, spec, ranked),
+        # A negative diagonal extreme entry of a symmetric matrix pairs with
+        # the bottom of the spectrum, not the top, so its rank is excluded
+        # from ratio aggregates.
+        pairing_valid=[not (m.symmetric and e.i == e.j and e.theta != 0.0) for e in ranked],
+        **localize(cfg, spec, ranked),
         time_s=time.perf_counter() - t0,
     )
 
@@ -646,8 +635,11 @@ def _check_regime(cfg: ExperimentConfig, name: str, run: _RunKind) -> str:
 def _poisson_setup(cfg: ExperimentConfig, regime: str, gamma) -> _Setup:
     reg = cfg.regime
     cnp = c_np(cfg.law, reg.n, reg.p, reg.mu)
-    kind = _kind(cfg, _basis_fields, scale=cnp ** 2, residuals=True)
-    return _Setup(lambda r: _replicate(cfg, kind, r), constants={"c_np": cnp})
+    scale = cnp ** 2
+    return _Setup(
+        lambda r: _replicate(cfg, r, _basis_fields, scale, residuals=True),
+        constants={"c_np": cnp},
+    )
 
 
 def _poisson_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
@@ -682,8 +674,8 @@ def _poisson_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
 
 
 def _edge_setup(cfg: ExperimentConfig, regime: str, gamma) -> _Setup:
-    kind = _kind(cfg, _mass_fields, dense=cfg.regime.p <= DENSE_DIM_LIMIT)
-    return _Setup(lambda r: _replicate(cfg, kind, r), dense=kind.dense)
+    dense = cfg.regime.p <= DENSE_DIM_LIMIT
+    return _Setup(lambda r: _replicate(cfg, r, _mass_fields, dense=dense), dense=dense)
 
 
 def _edge_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
@@ -725,8 +717,7 @@ def _edge_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
 def _hermitian_setup(cfg: ExperimentConfig, regime: str, gamma) -> _Setup:
     scale_c = c_n(cfg.law, cfg.regime.n, cfg.regime.mu)
     localize = _pair_fields if regime == POISSONIAN else _pair_mass_fields
-    kind = _kind(cfg, localize, scale=scale_c)
-    return _Setup(lambda r: _replicate(cfg, kind, r), constants={"c_n": scale_c})
+    return _Setup(lambda r: _replicate(cfg, r, localize, scale_c), constants={"c_n": scale_c})
 
 
 def _hermitian_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
@@ -770,28 +761,30 @@ def _hermitian_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
     ]
 
 
-def truncation_window(alpha: float, mu: float) -> tuple[float, float]:
-    """Default truncation exponents ``(gamma, gamma_prime)``.
-
-    In the edge regime ``gamma_prime = mu/2`` is sharp and ``gamma`` sits at
-    the midpoint of its admissible interval ``(mu / (2 (alpha - 1)), mu / 2)``.
-    In the Poissonian part with ``alpha > 1 + 1/mu`` a wider window applies;
-    midpoints are returned there too.
-    """
+def _gamma_window(alpha: float, mu: float) -> tuple[float, float]:
+    """Ends of the open interval of admissible truncation exponents
+    ``gamma``: ``(mu / (2 (alpha - 1)), mu / 2)`` in the edge regime, and the
+    wider ``(max(0, mu/alpha - 1/(alpha (alpha - 1))), (mu + 1)/alpha)``
+    elsewhere."""
     if alpha <= 2:
         raise ValueError(f"truncation analysis requires alpha > 2: {alpha}")
     if mu == 0.0:
         raise ValueError("truncation window is undefined for mu = 0")
-    regime = classify_regime(alpha, mu)
-    if regime == EDGE:
-        lo = mu / (2.0 * (alpha - 1.0))
-        hi = mu / 2.0
-        return 0.5 * (lo + hi), hi
-    gamma_lo = max(0.0, mu / alpha - 1.0 / (alpha * (alpha - 1.0)))
-    gamma_hi = (mu + 1.0) / alpha
-    gamma = 0.5 * (gamma_lo + gamma_hi)
-    gp_lo = max(gamma, mu / 2.0)
-    return gamma, 0.5 * (gp_lo + gamma_hi)
+    if classify_regime(alpha, mu) == EDGE:
+        return mu / (2.0 * (alpha - 1.0)), mu / 2.0
+    return max(0.0, mu / alpha - 1.0 / (alpha * (alpha - 1.0))), (mu + 1.0) / alpha
+
+
+def truncation_window(alpha: float, mu: float) -> tuple[float, float]:
+    """Default truncation exponents ``(gamma, gamma_prime)``.
+
+    ``gamma`` is the midpoint of its window and ``gamma_prime`` the midpoint
+    of ``(max(gamma, mu/2), hi)``, where ``hi`` is the window's upper end.  In
+    the edge regime ``hi = mu/2``, so ``gamma_prime = mu/2``, which is sharp.
+    """
+    lo, hi = _gamma_window(alpha, mu)
+    gamma = 0.5 * (lo + hi)
+    return gamma, 0.5 * (max(gamma, mu / 2.0) + hi)
 
 
 def _truncation_replicate(
@@ -835,13 +828,17 @@ def _truncation_replicate(
 
 
 def _truncation_setup(cfg: ExperimentConfig, regime: str, gamma: float | None) -> _Setup:
-    """Split entries at ``n^gamma``; ``gamma`` defaults to the window's, and
-    ``gamma'`` is always the window's (``mu/2`` in the edge regime)."""
+    """Split entries at ``n^gamma``; ``gamma`` defaults to the window's and
+    must lie inside it, and ``gamma'`` is always the window's (``mu/2`` in the
+    edge regime)."""
     reg = cfg.regime
     default_gamma, gamma_prime = truncation_window(reg.alpha, reg.mu)
     gamma = default_gamma if gamma is None else gamma
     if not gamma_prime > gamma:
         raise ValueError(f"hypothesis gamma_prime > gamma violated: {gamma_prime} <= {gamma}")
+    lo, hi = _gamma_window(reg.alpha, reg.mu)
+    if not lo < gamma < hi:
+        raise ValueError(f"gamma must lie inside its window ({lo}, {hi}): {gamma}")
     level = float(reg.n) ** gamma
     bound = TRUNCATION_KAPPA * reg.n ** (2.0 * gamma_prime) * (1.0 + math.sqrt(reg.rho)) ** 2
     window = {"gamma": gamma, "gamma_prime": gamma_prime, "kappa": TRUNCATION_KAPPA}
@@ -956,8 +953,7 @@ def run_phase_sweep(
                 master_seed=mix64(master_seed, ia * 10007 + im),
                 standardize=alpha > 2,
             )
-            kind = _kind(cfg, _basis_fields)
-            records = _map_replicates(lambda r: _replicate(cfg, kind, r), replicates)
+            records = _map_replicates(lambda r: _replicate(cfg, r, _basis_fields), replicates)
             paired = [rec for rec in records if rec.entries]
             cells.append(
                 {

@@ -26,7 +26,7 @@ from htspec.limits import EDGE, POISSONIAN, RegimeParams
 from htspec.matrices import SparseMatrix, top_entries
 from htspec.seeding import mix64
 from htspec.spectral import top_eigs
-from htspec.tails import SparsitySpec, TailLaw
+from htspec.tails import EnsembleSpec, SparsitySpec, TailLaw, sample_matrix
 
 VERDICT_KEYS = {"criterion", "pass", "observed", "bound"}
 
@@ -82,9 +82,18 @@ def test_dense_edge_run_starts_no_thread(monkeypatch):
     assert payload(RUNS["edge"]()) == serial
 
 
+def edge_lanczos_run():
+    # p = 48 lies above the lowered limit, so the edge run solves by Lanczos.
+    cfg = edge_cfg()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "DENSE_DIM_LIMIT", cfg.regime.p - 1)
+        return run_edge_experiment(cfg)
+
+
 RUNS = {
     "poisson": lambda: run_poisson_experiment(poisson_cfg()),
     "edge": lambda: run_edge_experiment(edge_cfg()),
+    "edge-lanczos": edge_lanczos_run,
     "hermitian-poissonian": lambda: run_experiment(poisson_cfg(shape="hermitian"), "hermitian"),
     "hermitian-edge": lambda: run_experiment(edge_cfg(shape="hermitian"), "hermitian"),
     "truncation": lambda: run_experiment(edge_cfg(n=60), "truncation", gamma=0.2),
@@ -218,6 +227,18 @@ def test_truncation_guards():
         run_experiment(edge_cfg(), "truncation", gamma=0.5)
 
 
+def test_truncation_refuses_gamma_outside_its_window():
+    # The window is (mu / (2 (alpha - 1)), mu / 2) at the edge and
+    # (max(0, mu/alpha - 1/(alpha (alpha - 1))), (mu + 1)/alpha) otherwise;
+    # below it the small part can be empty and the norm verdict vacuous.
+    edge, poissonian = edge_cfg(replicates=1), poisson_cfg(alpha=2.5, standardize=True)
+    for cfg, lo in ((edge, 1.0 / (2.0 * 7.0)), (poissonian, 1.0 / 2.5 - 1.0 / (2.5 * 1.5))):
+        for gamma in (-1.0, lo):
+            with pytest.raises(ValueError, match="window"):
+                run_experiment(cfg, "truncation", gamma=gamma)
+    assert run_experiment(edge, "truncation", gamma=0.2).config["gamma"] == 0.2
+
+
 def test_gamma_refused_by_kinds_that_do_not_truncate():
     for kind, cfg in (("poisson", poisson_cfg()), ("edge", edge_cfg()),
                       ("hermitian", poisson_cfg(shape="hermitian"))):
@@ -308,6 +329,15 @@ def test_edge_small_run_dense_path():
     assert agg["mean_top_over_n_mu"] == pytest.approx(4.0 * agg["mean_ratio_edge_1"])
 
 
+def test_edge_small_run_lanczos_path():
+    # Lanczos returns no whole spectrum: no ESD, no KS row, a null mean KS.
+    report = RUNS["edge-lanczos"]()
+    check_report_shape(report, "edge", 3)
+    assert all(rec.extra["ks_mp"] is None for rec in report.records)
+    assert json.loads(report.to_json())["aggregates"]["mean_ks_mp"] is None
+    assert len(report.verdicts) == 3
+
+
 def test_hermitian_small_run_poissonian():
     report = run_experiment(poisson_cfg(shape="hermitian"), "hermitian")
     check_report_shape(report, "hermitian", 4)
@@ -384,6 +414,12 @@ REPORT_LAYOUT = {
          "mean KS(ESD, Marchenko-Pastur) <= 0.08",
          "localization frequency at (floor(p^0.3), 0.3) <= 10%", _SPOT],
     ),
+    "edge-lanczos": (
+        ["mean_ratio_edge_1", "mean_top_over_n_mu", "mean_ks_mp", "localized_freq",
+         "mean_mass", "ambiguous_count", "interlacing_spot"],
+        ["mean top eigenvalue / (n^mu (1+sqrt(rho))^2) in [0.85, 1.15]",
+         "localization frequency at (floor(p^0.3), 0.3) <= 10%", _SPOT],
+    ),
     "hermitian-poissonian": (
         [*_HERMITIAN_HEAD, "ks_frechet_top1", "count_test"],
         [_ENTRY_RATIO, "KS(top eigenvalue / c_n, Frechet(alpha)) <= 0.12", _COUNT,
@@ -451,6 +487,58 @@ def test_symmetric_bound_with_diagonal_top_entry():
     experiments._assert_symmetric_bounds(lam1, m, 0.0, top)
     with pytest.raises(RuntimeError, match="Rayleigh"):
         experiments._assert_symmetric_bounds(4.9, m, 0.0, top)
+
+
+# Per run: the kind, its config, and whether some record ranks a negative
+# diagonal entry, so that the pairing rule is exercised.
+ENSEMBLE_RUNS = {
+    "poisson": ("poisson", poisson_cfg(n=12, replicates=20, top_k=5, master_seed=0), True),
+    "edge": ("edge", edge_cfg(n=12, top_k=5), False),
+    "hermitian-poissonian": (
+        "hermitian",
+        poisson_cfg(shape="hermitian", n=12, replicates=20, top_k=5, master_seed=0),
+        True,
+    ),
+    "hermitian-edge": ("hermitian", edge_cfg(shape="hermitian", n=12, top_k=5), False),
+}
+
+
+@pytest.mark.parametrize("run", sorted(ENSEMBLE_RUNS))
+def test_replicates_follow_their_ensemble(run):
+    # Covariance eigenvalues pair with squared entries at the Marchenko-Pastur
+    # edge (1 + sqrt rho)^2 n^mu; symmetric ones pair with entries at the
+    # semicircle edge 2 n^(mu/2), except a negative diagonal entry, which pairs
+    # with the bottom of the spectrum.  Each record is checked against its
+    # resampled matrix.
+    kind, cfg, exercised = ENSEMBLE_RUNS[run]
+    report = run_experiment(cfg, kind)
+    reg, k = cfg.regime, cfg.top_k
+    symmetric = cfg.shape == "hermitian"
+    if symmetric:
+        power, edge_scale = 1, 2.0 * float(reg.n) ** (reg.mu / 2.0)
+        scale = report.aggregates["c_n"]
+    else:
+        power, edge_scale = 2, (1.0 + math.sqrt(reg.rho)) ** 2 * float(reg.n) ** reg.mu
+        scale = report.aggregates["c_np"] ** 2 if kind == "poisson" else None
+    negative_diagonal = invalid = 0
+    for rec in report.records:
+        m = sample_matrix(EnsembleSpec(
+            shape=cfg.shape, n=reg.n, law=cfg.law, sparsity=cfg.sparsity,
+            seed=derive_replicate_seed(cfg.master_seed, rec.r), rho=reg.rho,
+        ))
+        assert m.symmetric == symmetric
+        ranked = top_entries(m, k + 1)[0][:k]
+        assert rec.entries == [[e.i, e.j, e.magnitude, e.theta] for e in ranked]
+        assert rec.ratios["entry"] == [x / e.magnitude ** power for x, e in zip(rec.eigs, ranked)]
+        assert rec.ratios["edge"] == [x / edge_scale for x in rec.eigs]
+        assert rec.points == ([x / scale for x in rec.eigs] if scale is not None else [])
+        flagged = [e.i == e.j and e.theta != 0.0 for e in ranked]
+        assert rec.pairing_valid == [not (symmetric and f) for f in flagged]
+        negative_diagonal += any(flagged)
+        invalid += not all(rec.pairing_valid)
+    if exercised:
+        assert negative_diagonal > 0
+        assert invalid == (negative_diagonal if symmetric else 0)
 
 
 # ---------------------------------------------------------------------------
