@@ -123,6 +123,10 @@ def _grid(raw: str) -> tuple[float, ...]:
     return _floats(raw)
 
 
+# The dests of the options _add_ensemble_args gives a single-matrix command.
+_ENSEMBLE_DESTS = "alpha mu n rho shape seed sv_kind sv_c sv_beta support_min standardize".split()
+
+
 def _add_ensemble_args(sub: argparse.ArgumentParser, single_matrix: bool = True) -> None:
     """Law and mask options; a single-matrix command also takes a shape and a seed."""
     sub.add_argument("--alpha", type=float, help="tail exponent")
@@ -259,6 +263,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
+    if args.infile is not None:
+        given = [
+            action.option_strings[0] for action in build_parser().commands["spectrum"]._actions
+            if action.dest in _ENSEMBLE_DESTS and getattr(args, action.dest) != action.default
+        ]
+        if given:
+            raise UsageError(f"--in reads its matrix from the file; drop {', '.join(given)}")
     m = load_matrix_csv(args.infile) if args.infile is not None else _sample(args)
     if args.solver == SOLVER_DENSE:
         dense = m.to_dense()

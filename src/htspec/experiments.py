@@ -8,9 +8,9 @@ localization frequencies.
 
 ``run_experiment(cfg, kind)`` runs every kind named in ``RUN_KINDS``, whose
 rows hold what sets a kind apart.  The poisson, edge and hermitian replicates
-and the phase sweep's run one staged pipeline (sample, rank entries, solve,
-exact bounds, per-kind measurements) that reads the ensemble's entry power,
-bounds, pairing rule and edge scale off the sampled matrix.  Each run judges
+and the phase sweep's run one staged pipeline (sample, rank entries, checked
+solve, per-kind measurements) that reads the ensemble's entry power, bounds,
+pairing rule and edge scale off the sampled matrix.  Each run judges
 its aggregates through one table of ``(criterion, observed, bound)`` rows, so
 a report is self-judging: every verdict carries the tolerance it was
 calibrated at.
@@ -20,11 +20,12 @@ Replicate ``r`` of a run draws everything from
 function of their configuration, byte-identical across runs and worker
 schedules once timing fields are stripped.
 
-Exact algebraic facts (Rayleigh lower bound, norm product upper bound,
-triangle inequality of a truncation split) are asserted inline on every
-replicate and abort the run on failure: they hold for every sample, so a
-violation means a bug, not bad luck.  A Lanczos solve that stops short of
-its tolerance aborts the run too.
+Exact algebraic facts abort the run on failure: they hold for every sample,
+so a violation means a bug, not bad luck.  Every eigen-solve of a run, the
+small part of a truncation split included, goes through ``_solve``, which
+asserts the top eigenvalue's exact bracket (a Rayleigh lower bound and a norm
+upper bound) and aborts on a Lanczos solve that stops short of its
+tolerance; a truncation split also asserts its triangle inequality.
 """
 
 from __future__ import annotations
@@ -324,59 +325,30 @@ def _ensemble(cfg: ExperimentConfig, r: int) -> EnsembleSpec:
     )
 
 
-def _max_row_square_sum(m: SparseMatrix) -> float:
-    if m.nnz == 0:
-        return 0.0
-    sq = m.values * m.values
-    starts = m.indptr[:-1][np.diff(m.indptr) > 0]
-    return float(np.add.reduceat(sq, starts).max())
+def _exact_bounds(m: SparseMatrix, top, inf_n: float, one_n: float) -> tuple[float, float]:
+    """Exact bracket ``(lower, upper)`` of the top eigenvalue of ``M M^T``, or
+    of symmetric ``m`` whose largest entry is ``top`` (``None`` when it stores
+    none), given ``norms(m) = (inf_n, one_n)``.  Gram: the max row square sum
+    and ``|m|_inf |m|_1``.  Symmetric: the Rayleigh quotient at ``top``, which
+    is ``a_ii`` for a diagonal entry and else the two-site
+    ``(a_ii + a_jj) / 2 + |a_ij|`` (``-inf`` without ``top``), and ``|m|_inf``."""
+    if not m.symmetric:
+        if m.nnz == 0:
+            return 0.0, 0.0
+        starts = m.indptr[:-1][np.diff(m.indptr) > 0]
+        return float(np.add.reduceat(m.values * m.values, starts).max()), inf_n * one_n
+    if top is None:
+        return -math.inf, inf_n
+    a = m.to_scipy()
+    diag = 0.5 * (float(a[top.i, top.i]) + float(a[top.j, top.j]))
+    return (diag if top.i == top.j else diag + top.magnitude), inf_n
 
 
-def _gram_sandwich(lam1: float, m: SparseMatrix, tol: float):
-    """Exact sandwich for the top Gram eigenvalue: max row square sum <=
-    lambda1 <= |m|_inf |m|_1.  ``tol`` covers solver error (0 for the dense
-    solver).  Returns ``(lower, inf_n, one_n, below_lower, above_upper)``."""
-    inf_n, one_n = norms(m)
-    lower = _max_row_square_sum(m)
-    slack = 1e-9 * max(1.0, lower) + 10.0 * tol * max(1.0, abs(lam1))
-    below_lower = lam1 < lower - slack
-    above_upper = lam1 > inf_n * one_n * (1.0 + 1e-9) + 1e-12
-    return lower, inf_n, one_n, below_lower, above_upper
-
-
-def _assert_gram_bounds(lam1: float, m: SparseMatrix, tol: float) -> tuple[float, float]:
-    """Raise unless the Gram sandwich holds."""
-    lower, inf_n, one_n, below_lower, above_upper = _gram_sandwich(lam1, m, tol)
-    if below_lower:
-        raise RuntimeError(
-            f"Rayleigh lower bound violated: lambda1 = {lam1} < max row square sum {lower}"
-        )
-    if above_upper:
-        raise RuntimeError(
-            f"norm product upper bound violated: lambda1 = {lam1} > {inf_n * one_n}"
-        )
-    return inf_n, one_n
-
-
-def _assert_symmetric_bounds(lam1: float, m: SparseMatrix, tol: float, top) -> tuple[float, float]:
-    """Norm bound and Rayleigh bound for a symmetric matrix whose largest
-    entry is ``top`` (``None`` when it stores none): ``lambda1 >= a_ii`` for a
-    diagonal ``top``, else the two-site ``(a_ii + a_jj) / 2 + |a_ij|``."""
-    inf_n, one_n = norms(m)
-    if lam1 > inf_n * (1.0 + 1e-9) + 1e-12:
-        raise RuntimeError(
-            f"infinity norm bound violated: lambda1 = {lam1} > {inf_n}"
-        )
-    if top is not None:
-        a = m.to_scipy()
-        diag = 0.5 * (float(a[top.i, top.i]) + float(a[top.j, top.j]))
-        lower = diag if top.i == top.j else diag + top.magnitude
-        slack = 1e-9 * max(1.0, abs(lower)) + 10.0 * tol * max(1.0, abs(lam1))
-        if lam1 < lower - slack:
-            raise RuntimeError(
-                f"Rayleigh lower bound violated: lambda1 = {lam1} < {lower}"
-            )
-    return inf_n, one_n
+def _outside_bounds(lam1: float, lower: float, upper: float, tol: float) -> tuple[bool, bool]:
+    """Whether ``lam1`` lies below ``lower`` or above ``upper`` beyond rounding
+    and ten times the solver tolerance ``tol`` (0 for the dense solver)."""
+    slack = 1e-9 * max(1.0, abs(lower)) + 10.0 * tol * max(1.0, abs(lam1))
+    return lam1 < lower - slack, lam1 > upper * (1.0 + 1e-9) + 1e-12
 
 
 def _ranked_lists(entries) -> list[list]:
@@ -399,10 +371,11 @@ def _mean(values: list[float]) -> float:
 def _interlacing_spot(cfg: ExperimentConfig) -> dict:
     """Deterministically chosen replicate gets a full interlacing verification."""
     r_star = mix64(cfg.master_seed, _SPOT_REPLICATE_TAG) % cfg.replicates
-    dense = sample_matrix(_ensemble(cfg, r_star)).to_dense()
+    m = sample_matrix(_ensemble(cfg, r_star))
+    dense = m.to_dense()
     idx = mix64(cfg.master_seed, _SPOT_INDEX_TAG) % dense.shape[0]
     keep = np.arange(dense.shape[0]) != idx
-    if cfg.shape == HERMITIAN:
+    if m.symmetric:
         mode = "hermitian_minor"
         big = np.linalg.eigvalsh(dense)
         small = np.linalg.eigvalsh(dense[np.ix_(keep, keep)])
@@ -451,22 +424,32 @@ def _poisson_limits(records, a: float, ks_label: str) -> tuple[dict, list[tuple]
 # The staged replicate pipeline
 
 
-def _solve(cfg: ExperimentConfig, m: SparseMatrix, r: int, k: int, dense: bool = False):
-    """Top ``k`` eigenpairs of ``M M^T`` (or of symmetric ``m``) and the
-    solver tolerance the exact bounds allow: the whole Gram spectrum by
-    ``eigh`` when ``dense``, else Lanczos from replicate ``r``'s solver seed,
-    raising when it stops short of its tolerance."""
+def _solve(cfg: ExperimentConfig, m: SparseMatrix, r: int, k: int, top=None, dense: bool = False):
+    """Top ``k`` eigenpairs of ``M M^T`` (or of symmetric ``m``) and
+    ``norms(m)``, as ``(spec, inf_n, one_n)``: the whole Gram spectrum by
+    ``eigh`` when ``dense``, else Lanczos from replicate ``r``'s solver seed.
+    Raises when Lanczos stops short of its tolerance and when the top
+    eigenvalue leaves ``_exact_bounds`` for ``m`` and its largest entry ``top``."""
     if dense:
         x = m.to_dense()
-        return eig_dense_symmetric(x @ x.T), 0.0
-    seed = mix64(derive_replicate_seed(cfg.master_seed, r), _TAG_SOLVER)
-    spec = top_eigs(m, k, tol=SOLVER_TOL, seed=seed)
-    if not spec.converged:
-        raise RuntimeError(
-            f"replicate {r}: Lanczos did not reach tol = {SOLVER_TOL} "
-            f"in {spec.iterations} iterations"
-        )
-    return spec, SOLVER_TOL
+        spec, tol = eig_dense_symmetric(x @ x.T), 0.0
+    else:
+        seed = mix64(derive_replicate_seed(cfg.master_seed, r), _TAG_SOLVER)
+        spec, tol = top_eigs(m, k, tol=SOLVER_TOL, seed=seed), SOLVER_TOL
+        if not spec.converged:
+            raise RuntimeError(
+                f"replicate {r}: Lanczos did not reach tol = {SOLVER_TOL} "
+                f"in {spec.iterations} iterations"
+            )
+    inf_n, one_n = norms(m)
+    lam1 = float(spec.eigenvalues[0])
+    lower, upper = _exact_bounds(m, top, inf_n, one_n)
+    below, above = _outside_bounds(lam1, lower, upper, tol)
+    if below:
+        raise RuntimeError(f"Rayleigh lower bound violated: lambda1 = {lam1} < {lower}")
+    if above:
+        raise RuntimeError(f"norm upper bound violated: lambda1 = {lam1} > {upper}")
+    return spec, inf_n, one_n
 
 
 def _replicate(
@@ -477,8 +460,8 @@ def _replicate(
     residuals: bool = False,
     dense: bool = False,
 ) -> ReplicateRecord:
-    """Replicate ``r`` through the stages sample, rank, solve, exact bounds
-    and per-kind measurements; ``time_s`` spans them all.
+    """Replicate ``r`` through the stages sample, rank, checked solve and
+    per-kind measurements; ``time_s`` spans them all.
 
     The sampled matrix says its ensemble: Gram eigenvalues pair with squared
     entries at the Marchenko-Pastur edge, symmetric ones with entries at the
@@ -491,15 +474,13 @@ def _replicate(
     m = sample_matrix(_ensemble(cfg, r))
     k = cfg.top_k
     entries, _ = top_entries(m, k + 1)
-    spec, tol = _solve(cfg, m, r, k, dense)
+    spec, inf_n, one_n = _solve(cfg, m, r, k, entries[0] if entries else None, dense)
     lam = [float(x) for x in spec.eigenvalues[:k]]
     reg = cfg.regime
     if m.symmetric:
         power, edge_scale = 1, 2.0 * float(reg.n) ** (reg.mu / 2.0)
-        inf_n, one_n = _assert_symmetric_bounds(lam[0], m, tol, entries[0] if entries else None)
     else:
         power, edge_scale = 2, (1.0 + math.sqrt(reg.rho)) ** 2 * float(reg.n) ** reg.mu
-        inf_n, one_n = _assert_gram_bounds(lam[0], m, tol)
 
     ranked = entries[:k]
     return ReplicateRecord(
@@ -794,9 +775,11 @@ def _truncation_replicate(
     m = sample_matrix(_ensemble(cfg, r))
     entries, _ = top_entries(m, 1)
     m_hat, m_prime = truncate_split(m, level)
-    hat_norm = float(_solve(cfg, m_hat, r, 1)[0].eigenvalues[0]) if m_hat.nnz else 0.0
+    hat_norm, inf_hat = 0.0, 0.0
+    if m_hat.nnz:
+        spec, inf_hat, _ = _solve(cfg, m_hat, r, 1)
+        hat_norm = float(spec.eigenvalues[0])
     inf_full, one_full = norms(m)
-    inf_hat, _ = norms(m_hat)
     inf_prime, one_prime = norms(m_prime)
     if inf_hat + inf_prime < inf_full - 1e-12 * max(1.0, inf_full):
         raise RuntimeError(
@@ -1021,7 +1004,7 @@ def run_invariant_suite(
     symmetric ones with ``n <= 12``, both at least 1.
 
     Counts violations of: the Rayleigh lower bound and norm-product upper
-    bound for the top Gram eigenvalue (``_gram_sandwich``, dense solver);
+    bound for the top Gram eigenvalue (``_exact_bounds``, dense solver);
     the three interlacing chains; the residual-ball enclosure for random probe
     vectors (with the eigenvector bound whenever its hypotheses hold); and the
     principal-submatrix bound for localized eigenvectors on brute-forced
@@ -1049,9 +1032,10 @@ def run_invariant_suite(
         dense = m.to_dense()
         sigma = dense @ dense.T
         result = eig_dense_symmetric(sigma)
-        *_, below_lower, above_upper = _gram_sandwich(float(result.eigenvalues[0]), m, 0.0)
-        counts["rayleigh_lower_bound"] += int(below_lower)
-        counts["norm_product_upper_bound"] += int(above_upper)
+        bounds = _exact_bounds(m, None, *norms(m))
+        below, above = _outside_bounds(float(result.eigenvalues[0]), *bounds, 0.0)
+        counts["rayleigh_lower_bound"] += int(below)
+        counts["norm_product_upper_bound"] += int(above)
 
         s = mix64(seed, 10 ** 7 + idx)
         p, n = dense.shape

@@ -132,6 +132,27 @@ def test_spectrum_roundtrip_csv_and_solver_agreement(tmp_path, capsys):
         assert a == pytest.approx(b, rel=1e-8)
 
 
+def test_spectrum_in_refuses_ensemble_options(tmp_path, capsys):
+    # The file fixes the matrix, so an ensemble option with --in would be
+    # ignored; it is refused, and every such option is named.
+    path = tmp_path / "m.csv"
+    sample = ["sample", "--alpha", "1", "--mu", "1", "--n", "20", "--out", str(path)]
+    assert run(capsys, sample)[0] == 0
+    loaded = ["spectrum", "--in", str(path), "--k", "2"]
+    code, plain, _ = run(capsys, loaded)
+    assert code == 0
+    flags = ["--alpha", "3", "--mu", "1", "--n", "99", "--seed", "8", "--shape", "hermitian"]
+    code, out, err = run(capsys, [*loaded, *flags])
+    assert code == 1 and "residual=" not in out
+    assert err.split("drop ")[1].split() == ["--alpha,", "--mu,", "--n,", "--shape,", "--seed"]
+    for flag in (["--rho", "0.5"], ["--sv", "log_power"], ["--sv-c", "2"], ["--sv-beta", "1"],
+                 ["--support-min", "2"], ["--standardize"], ["--no-standardize"]):
+        code, _, err = run(capsys, [*loaded, *flag])
+        assert code == 1 and flag[0].replace("no-", "") in err, flag
+    # A flag left at its default value changes nothing and is accepted.
+    assert run(capsys, [*loaded, "--rho", "1"])[:2] == (0, plain)
+
+
 def test_spectrum_json_output(tmp_path, capsys):
     out_path = tmp_path / "spec.json"
     code, out, _ = run(

@@ -23,7 +23,7 @@ from htspec.experiments import (
     _map_replicates,
 )
 from htspec.limits import EDGE, POISSONIAN, RegimeParams
-from htspec.matrices import SparseMatrix, top_entries
+from htspec.matrices import SparseMatrix, norms, top_entries
 from htspec.seeding import mix64
 from htspec.spectral import top_eigs
 from htspec.tails import EnsembleSpec, SparsitySpec, TailLaw, sample_matrix
@@ -135,6 +135,25 @@ def test_halved_eigenvalues_abort_the_run(monkeypatch, run):
         return replace(spec, eigenvalues=spec.eigenvalues * 0.5)
 
     monkeypatch.setattr(experiments, "top_eigs", halved)
+    with pytest.raises(RuntimeError, match="Rayleigh lower bound violated"):
+        RUNS[run]()
+
+
+# A bulk-dominated lambda_1 is about four times the max row square sum, so a
+# value off by a factor 2 can still sit above it; a tenth cannot.  The runs
+# reach the truncation's small-part solve, the dense Gram route and the
+# symmetric edge route.
+@pytest.mark.parametrize("run", ["truncation", "edge", "hermitian-edge"])
+def test_tenth_of_the_top_value_aborts_the_run(monkeypatch, run):
+    def tenth(solver):
+        def solve(*args, **kwargs):
+            spec = solver(*args, **kwargs)
+            return replace(spec, eigenvalues=spec.eigenvalues * 0.1)
+
+        return solve
+
+    for name in ("top_eigs", "eig_dense_symmetric"):
+        monkeypatch.setattr(experiments, name, tenth(getattr(experiments, name)))
     with pytest.raises(RuntimeError, match="Rayleigh lower bound violated"):
         RUNS[run]()
 
@@ -483,10 +502,36 @@ def test_symmetric_bound_with_diagonal_top_entry():
     m = SparseMatrix.from_dense(a, symmetric=True)
     (top,), _ = top_entries(m, 1)
     assert (top.i, top.j) == (0, 0)
+    lower, upper = experiments._exact_bounds(m, top, *norms(m))
+    assert (lower, upper) == (5.0, 6.0)
     lam1 = float(np.linalg.eigvalsh(a)[-1])
-    experiments._assert_symmetric_bounds(lam1, m, 0.0, top)
-    with pytest.raises(RuntimeError, match="Rayleigh"):
-        experiments._assert_symmetric_bounds(4.9, m, 0.0, top)
+    assert experiments._outside_bounds(lam1, lower, upper, 0.0) == (False, False)
+    assert experiments._outside_bounds(4.9, lower, upper, 0.0) == (True, False)
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "hermitian"])
+def test_exact_bounds_bracket_the_top_eigenvalue(shape):
+    # Raw and standardized laws (the latter with negative diagonal entries),
+    # empty to full masks, and both ensembles at n <= 12.
+    laws = (TailLaw(alpha=0.8), TailLaw(alpha=1.5), TailLaw(alpha=4.0, standardize=True))
+    checked = 0
+    for mu in (0.0, 0.5, 1.0):
+        for seed in range(24):
+            rho = 1.0 if shape == "hermitian" else (0.4, 0.7, 1.0)[seed // 3 % 3]
+            spec = EnsembleSpec(
+                shape=shape, n=3 + seed % 10, law=laws[seed % 3],
+                sparsity=SparsitySpec.bernoulli(mu), seed=seed, rho=rho,
+            )
+            m = sample_matrix(spec)
+            a = m.to_dense()
+            top_value = float(np.linalg.eigvalsh(a if m.symmetric else a @ a.T)[-1])
+            entries, _ = top_entries(m, 1)
+            lower, upper = experiments._exact_bounds(m, entries[0] if entries else None, *norms(m))
+            assert experiments._outside_bounds(top_value, lower, upper, 0.0) == (False, False)
+            checked += m.nnz > 0
+    assert checked > 50
+    empty = SparseMatrix.from_dense(np.zeros((3, 3)), symmetric=True)
+    assert experiments._exact_bounds(empty, None, *norms(empty)) == (-math.inf, 0.0)
 
 
 # Per run: the kind, its config, and whether some record ranks a negative
