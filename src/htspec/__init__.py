@@ -37,7 +37,6 @@ from .limits import (
     CRITICAL,
     EDGE,
     POISSONIAN,
-    RegimeParams,
     c_n,
     c_np,
     classify_regime,
@@ -104,7 +103,6 @@ __all__ = [
     "truncate_split",
     "save_matrix_csv",
     "load_matrix_csv",
-    "RegimeParams",
     "classify_regime",
     "c_np",
     "c_n",

@@ -39,7 +39,7 @@ from .tails import (
 from .experiments import (
     RUN_KINDS,
     SOLVER_TOL,
-    make_config,
+    ExperimentConfig,
     run_experiment,
     run_invariant_suite,
     run_phase_sweep,
@@ -212,10 +212,10 @@ def _require(args: argparse.Namespace, names: tuple[str, ...]) -> None:
         raise UsageError(f"missing required options: {flags}")
 
 
-def _sample(args: argparse.Namespace) -> SparseMatrix:
-    """Draw the matrix that the ensemble flags of ``sample``/``spectrum`` describe."""
-    _require(args, ("alpha", "mu", "n"))
-    law = TailLaw(
+def _law(args: argparse.Namespace) -> TailLaw:
+    """The entry law of the ``--alpha``, ``--sv*``, ``--support-min`` and
+    ``--standardize`` flags; an unset ``--standardize`` is off."""
+    return TailLaw(
         alpha=args.alpha,
         sv_kind=args.sv_kind,
         sv_c=args.sv_c,
@@ -223,9 +223,14 @@ def _sample(args: argparse.Namespace) -> SparseMatrix:
         support_min=args.support_min,
         standardize=bool(args.standardize),
     )
-    sparsity = SparsitySpec.bernoulli(args.mu)
+
+
+def _sample(args: argparse.Namespace) -> SparseMatrix:
+    """Draw the matrix that the ensemble flags of ``sample``/``spectrum`` describe."""
+    _require(args, ("alpha", "mu", "n"))
     spec = EnsembleSpec(
-        shape=args.shape, n=args.n, law=law, sparsity=sparsity, seed=args.seed, rho=args.rho
+        shape=args.shape, n=args.n, law=_law(args), sparsity=SparsitySpec.bernoulli(args.mu),
+        seed=args.seed, rho=args.rho,
     )
     return sample_matrix(spec)
 
@@ -272,10 +277,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             raise UsageError(f"--in reads its matrix from the file; drop {', '.join(given)}")
     m = load_matrix_csv(args.infile) if args.infile is not None else _sample(args)
     if args.solver == SOLVER_DENSE:
+        # The whole spectrum has m.rows values, so any k up to it, 50 or more, is served.
+        k = args.k
+        if k > m.rows:
+            raise UsageError(f"--k {k} exceeds the matrix's dimension {m.rows}")
         dense = m.to_dense()
-        target = dense if m.symmetric else dense @ dense.T
-        result = eig_dense_symmetric(target)
-        k = min(args.k, result.eigenvalues.size)
+        result = eig_dense_symmetric(dense if m.symmetric else dense @ dense.T)
         result = replace(
             result,
             eigenvalues=result.eigenvalues[:k],
@@ -306,20 +313,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     run = RUN_KINDS[args.kind]
     if args.standardize is None:
         args.standardize = run.standardizes(classify_regime(args.alpha, args.mu))
-    cfg = make_config(
-        alpha=args.alpha,
-        mu=args.mu,
+    cfg = ExperimentConfig(
+        law=_law(args),
+        sparsity=SparsitySpec.bernoulli(args.mu),
         n=args.n,
         rho=args.rho,
-        replicates=args.replicates,
         shape=run.shape,
+        replicates=args.replicates,
         top_k=args.top_k,
         master_seed=args.master_seed,
-        standardize=args.standardize,
-        sv_kind=args.sv_kind,
-        sv_c=args.sv_c,
-        sv_beta=args.sv_beta,
-        support_min=args.support_min,
     )
     report = run_experiment(cfg, args.kind, gamma=args.gamma)
     _print_verdicts(report.verdicts)

@@ -15,10 +15,10 @@ its aggregates through one table of ``(criterion, observed, bound)`` rows, so
 a report is self-judging: every verdict carries the tolerance it was
 calibrated at.
 
-Replicate ``r`` of a run draws everything from
-``derive_replicate_seed(master_seed, r)``; reports are therefore a pure
-function of their configuration, byte-identical across runs and worker
-schedules once timing fields are stripped.
+Replicate ``r`` of a run samples ``cfg.ensemble(r)`` and draws everything
+from its seed ``derive_replicate_seed(master_seed, r)``; reports are
+therefore a pure function of their configuration, byte-identical across runs
+and worker schedules once timing fields are stripped.
 
 Exact algebraic facts abort the run on failure: they hold for every sample,
 so a violation means a bug, not bad luck.  Every eigen-solve of a run, the
@@ -43,11 +43,11 @@ from .limits import (
     CRITICAL,
     EDGE,
     POISSONIAN,
-    RegimeParams,
     c_n,
     c_np,
     classify_regime,
     frechet_cdf,
+    mp_edges,
 )
 from .localization import (
     distance_to_basis_vector,
@@ -129,8 +129,9 @@ def _map_replicates(fn, count: int, dense: bool = False) -> list:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Immutable description of a replicated run.  Alpha comes from ``law``
-    and mu from ``sparsity``; ``regime`` gathers them with ``rho`` and ``n``."""
+    """Immutable description of a replicated run.  Alpha comes from ``law``,
+    mu from ``sparsity``, and ``shape``, ``n``, ``rho`` and ``master_seed``
+    are validated by building the ``EnsembleSpec`` the replicates sample."""
 
     law: TailLaw
     sparsity: SparsitySpec
@@ -142,21 +143,27 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        regime = self.regime  # RegimeParams validates alpha, mu, rho and n
-        if self.shape not in (RECTANGULAR, HERMITIAN):
-            raise ValueError(f"unknown shape: {self.shape!r}")
+        cap = min(self.ensemble(0).p, 50)
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1: {self.replicates}")
-        if self.shape == HERMITIAN and regime.rho != 1.0:
-            raise ValueError("hermitian runs are square; rho must be 1")
-        if not 1 <= self.top_k <= min(regime.p, 50):
-            raise ValueError(
-                f"top_k must lie in [1, min(p, 50)] = [1, {min(regime.p, 50)}]: {self.top_k}"
-            )
+        if not 1 <= self.top_k <= cap:
+            raise ValueError(f"top_k must lie in [1, min(p, 50)] = [1, {cap}]: {self.top_k}")
+
+    def ensemble(self, r: int) -> EnsembleSpec:
+        """The ensemble replicate ``r`` samples."""
+        return EnsembleSpec(
+            shape=self.shape,
+            n=self.n,
+            law=self.law,
+            sparsity=self.sparsity,
+            seed=derive_replicate_seed(self.master_seed, r),
+            rho=self.rho,
+        )
 
     @property
-    def regime(self) -> RegimeParams:
-        return RegimeParams(alpha=self.law.alpha, mu=self.sparsity.mu, rho=self.rho, n=self.n)
+    def regime(self) -> ExperimentConfig:
+        """The config itself; ``bench/child.py`` reads ``regime.n`` and ``regime.rho``."""
+        return self
 
     @property
     def solver_tol(self) -> float:
@@ -203,11 +210,11 @@ def make_config(
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
     return {
-        "alpha": cfg.regime.alpha,
-        "mu": cfg.regime.mu,
-        "rho": cfg.regime.rho,
-        "n": cfg.regime.n,
-        "p": cfg.regime.p,
+        "alpha": cfg.law.alpha,
+        "mu": cfg.sparsity.mu,
+        "rho": cfg.rho,
+        "n": cfg.n,
+        "p": cfg.ensemble(0).p,
         "shape": cfg.shape,
         "law": {
             "sv_kind": cfg.law.sv_kind,
@@ -314,17 +321,6 @@ class ExperimentReport:
                 )
 
 
-def _ensemble(cfg: ExperimentConfig, r: int) -> EnsembleSpec:
-    return EnsembleSpec(
-        shape=cfg.shape,
-        n=cfg.regime.n,
-        law=cfg.law,
-        sparsity=cfg.sparsity,
-        seed=derive_replicate_seed(cfg.master_seed, r),
-        rho=cfg.regime.rho,
-    )
-
-
 def _exact_bounds(m: SparseMatrix, top, inf_n: float, one_n: float) -> tuple[float, float]:
     """Exact bracket ``(lower, upper)`` of the top eigenvalue of ``M M^T``, or
     of symmetric ``m`` whose largest entry is ``top`` (``None`` when it stores
@@ -371,7 +367,7 @@ def _mean(values: list[float]) -> float:
 def _interlacing_spot(cfg: ExperimentConfig) -> dict:
     """Deterministically chosen replicate gets a full interlacing verification."""
     r_star = mix64(cfg.master_seed, _SPOT_REPLICATE_TAG) % cfg.replicates
-    m = sample_matrix(_ensemble(cfg, r_star))
+    m = sample_matrix(cfg.ensemble(r_star))
     dense = m.to_dense()
     idx = mix64(cfg.master_seed, _SPOT_INDEX_TAG) % dense.shape[0]
     keep = np.arange(dense.shape[0]) != idx
@@ -471,16 +467,16 @@ def _replicate(
     that scale; ``dense`` solves the whole Gram spectrum by ``eigh``.
     """
     t0 = time.perf_counter()
-    m = sample_matrix(_ensemble(cfg, r))
+    m = sample_matrix(cfg.ensemble(r))
     k = cfg.top_k
     entries, _ = top_entries(m, k + 1)
     spec, inf_n, one_n = _solve(cfg, m, r, k, entries[0] if entries else None, dense)
     lam = [float(x) for x in spec.eigenvalues[:k]]
-    reg = cfg.regime
+    mu = cfg.sparsity.mu
     if m.symmetric:
-        power, edge_scale = 1, 2.0 * float(reg.n) ** (reg.mu / 2.0)
+        power, edge_scale = 1, 2.0 * float(cfg.n) ** (mu / 2.0)
     else:
-        power, edge_scale = 2, (1.0 + math.sqrt(reg.rho)) ** 2 * float(reg.n) ** reg.mu
+        power, edge_scale = 2, mp_edges(cfg.rho)[1] * float(cfg.n) ** mu
 
     ranked = entries[:k]
     return ReplicateRecord(
@@ -521,14 +517,13 @@ def _mass_fields(cfg: ExperimentConfig, spec, ranked) -> dict:
     """Mass profile of the top eigenvector over ``LOC_BETAS``, its distance to
     the top entry's basis vector, and, when the solver returned the whole
     spectrum, the KS distance of its ESD to Marchenko-Pastur."""
-    reg = cfg.regime
     v1 = spec.eigenvectors[:, 0]
     curve = localization_profile(v1)
     mass = {f"{beta:.1f}": _support_mass(curve, beta) for beta in LOC_BETAS}
     ks_mp = None
     if spec.solver == SOLVER_DENSE:
-        scale = float(reg.n) ** reg.mu
-        ks_mp = esd(spec.eigenvalues, scale=scale, rho=reg.rho)
+        scale = float(cfg.n) ** cfg.sparsity.mu
+        ks_mp = esd(spec.eigenvalues, scale=scale, rho=cfg.rho)
     return {
         "localization": {
             "mass": mass,
@@ -594,16 +589,17 @@ def _check_regime(cfg: ExperimentConfig, name: str, run: _RunKind) -> str:
     one of its regimes, and a standardized law wherever it needs one."""
     if cfg.shape != run.shape:
         raise ValueError(f"{name} experiment runs the {run.shape} ensemble")
-    regime = classify_regime(cfg.regime.alpha, cfg.regime.mu)
+    alpha, mu = cfg.law.alpha, cfg.sparsity.mu
+    regime = classify_regime(alpha, mu)
     if regime not in run.regimes:
         if regime == CRITICAL:
             raise ValueError(
-                f"(alpha, mu) = ({cfg.regime.alpha}, {cfg.regime.mu}) sits on the critical "
+                f"(alpha, mu) = ({alpha}, {mu}) sits on the critical "
                 "line alpha = 2 (1 + 1/mu); no limit is claimed there"
             )
         raise ValueError(
             f"{name} experiment requires the {' or '.join(run.regimes)} regime but "
-            f"(alpha, mu) = ({cfg.regime.alpha}, {cfg.regime.mu}) classifies as {regime}"
+            f"(alpha, mu) = ({alpha}, {mu}) classifies as {regime}"
         )
     if run.standardizes(regime) and not cfg.law.standardize:
         raise ValueError(
@@ -614,8 +610,7 @@ def _check_regime(cfg: ExperimentConfig, name: str, run: _RunKind) -> str:
 
 
 def _poisson_setup(cfg: ExperimentConfig, regime: str, gamma) -> _Setup:
-    reg = cfg.regime
-    cnp = c_np(cfg.law, reg.n, reg.p, reg.mu)
+    cnp = c_np(cfg.law, cfg.n, cfg.ensemble(0).p, cfg.sparsity.mu)
     scale = cnp ** 2
     return _Setup(
         lambda r: _replicate(cfg, r, _basis_fields, scale, residuals=True),
@@ -632,7 +627,7 @@ def _poisson_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
     ratio1 = [rec.ratios["entry"][0] for rec in records if rec.ratios["entry"]]
     deeper = [x for rec in records if not rec.ambiguous for x in rec.ratios["entry"][1:]]
     law, law_rows = _poisson_limits(
-        records, cfg.regime.alpha / 2, "KS(top eigenvalue / c_np^2, Frechet(alpha/2))"
+        records, cfg.law.alpha / 2, "KS(top eigenvalue / c_np^2, Frechet(alpha/2))"
     )
     dist1 = [rec.loc_dist for rec in records]
     loc_freq = float(np.mean([d <= 0.2 for d in dist1]))
@@ -655,7 +650,7 @@ def _poisson_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
 
 
 def _edge_setup(cfg: ExperimentConfig, regime: str, gamma) -> _Setup:
-    dense = cfg.regime.p <= DENSE_DIM_LIMIT
+    dense = cfg.ensemble(0).p <= DENSE_DIM_LIMIT
     return _Setup(lambda r: _replicate(cfg, r, _mass_fields, dense=dense), dense=dense)
 
 
@@ -674,7 +669,7 @@ def _edge_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
 
     aggregates = {
         "mean_ratio_edge_1": mean_edge1,
-        "mean_top_over_n_mu": mean_edge1 * (1.0 + math.sqrt(cfg.regime.rho)) ** 2,
+        "mean_top_over_n_mu": mean_edge1 * mp_edges(cfg.rho)[1],
         "mean_ks_mp": mean_ks,
         "localized_freq": mean_over_records("localized"),
         "mean_mass": mean_over_records("mass"),
@@ -696,7 +691,7 @@ def _edge_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
 
 
 def _hermitian_setup(cfg: ExperimentConfig, regime: str, gamma) -> _Setup:
-    scale_c = c_n(cfg.law, cfg.regime.n, cfg.regime.mu)
+    scale_c = c_n(cfg.law, cfg.n, cfg.sparsity.mu)
     localize = _pair_fields if regime == POISSONIAN else _pair_mass_fields
     return _Setup(lambda r: _replicate(cfg, r, localize, scale_c), constants={"c_n": scale_c})
 
@@ -709,7 +704,6 @@ def _hermitian_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
     two-site pair vectors.  Edge: the top eigenvalue sits at twice the
     semicircle scale ``n^(mu/2)`` and the top eigenvector delocalizes.
     """
-    reg = cfg.regime
     ratio1 = [
         rec.ratios["entry"][0] for rec in records if rec.pairing_valid and rec.pairing_valid[0]
     ]
@@ -725,14 +719,15 @@ def _hermitian_aggregates(cfg: ExperimentConfig, regime: str, records, spot):
         "interlacing_spot": spot,
     }
     if regime == POISSONIAN:
-        law, law_rows = _poisson_limits(records, reg.alpha, "KS(top eigenvalue / c_n, Frechet(alpha))")
+        law, law_rows = _poisson_limits(records, cfg.law.alpha, "KS(top eigenvalue / c_n, Frechet(alpha))")
         aggregates.update(law)
         return aggregates, [
             ("median entry ratio in [0.9, 1.1]", aggregates["median_ratio_entry_1"], (0.9, 1.1)),
             *law_rows,
             ("pair distance <= 0.25 in >= 75% of replicates", pair_freq, (0.75, math.inf)),
         ]
-    mean_top = float(np.mean([rec.eigs[0] / float(reg.n) ** (reg.mu / 2.0) for rec in records]))
+    semicircle_scale = float(cfg.n) ** (cfg.sparsity.mu / 2.0)
+    mean_top = float(np.mean([rec.eigs[0] / semicircle_scale for rec in records]))
     loc_freq = float(np.mean([rec.extra["localized_headline"] for rec in records]))
     aggregates["mean_top_over_n_half_mu"] = mean_top
     aggregates["localized_freq_headline"] = loc_freq
@@ -772,7 +767,7 @@ def _truncation_replicate(
     cfg: ExperimentConfig, r: int, level: float, bound: float
 ) -> ReplicateRecord:
     t0 = time.perf_counter()
-    m = sample_matrix(_ensemble(cfg, r))
+    m = sample_matrix(cfg.ensemble(r))
     entries, _ = top_entries(m, 1)
     m_hat, m_prime = truncate_split(m, level)
     hat_norm, inf_hat = 0.0, 0.0
@@ -814,16 +809,16 @@ def _truncation_setup(cfg: ExperimentConfig, regime: str, gamma: float | None) -
     """Split entries at ``n^gamma``; ``gamma`` defaults to the window's and
     must lie inside it, and ``gamma'`` is always the window's (``mu/2`` in the
     edge regime)."""
-    reg = cfg.regime
-    default_gamma, gamma_prime = truncation_window(reg.alpha, reg.mu)
+    alpha, mu = cfg.law.alpha, cfg.sparsity.mu
+    default_gamma, gamma_prime = truncation_window(alpha, mu)
     gamma = default_gamma if gamma is None else gamma
     if not gamma_prime > gamma:
         raise ValueError(f"hypothesis gamma_prime > gamma violated: {gamma_prime} <= {gamma}")
-    lo, hi = _gamma_window(reg.alpha, reg.mu)
+    lo, hi = _gamma_window(alpha, mu)
     if not lo < gamma < hi:
         raise ValueError(f"gamma must lie inside its window ({lo}, {hi}): {gamma}")
-    level = float(reg.n) ** gamma
-    bound = TRUNCATION_KAPPA * reg.n ** (2.0 * gamma_prime) * (1.0 + math.sqrt(reg.rho)) ** 2
+    level = float(cfg.n) ** gamma
+    bound = TRUNCATION_KAPPA * cfg.n ** (2.0 * gamma_prime) * mp_edges(cfg.rho)[1]
     window = {"gamma": gamma, "gamma_prime": gamma_prime, "kappa": TRUNCATION_KAPPA}
     return _Setup(
         lambda r: _truncation_replicate(cfg, r, level, bound),

@@ -16,7 +16,6 @@ evaluated in closed form (the formula is in :func:`mp_cdf`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,33 +24,6 @@ from .tails import TailLaw, quantile_abs
 POISSONIAN = "poissonian"
 EDGE = "edge"
 CRITICAL = "critical"
-
-
-@dataclass(frozen=True)
-class RegimeParams:
-    """The four quantities that pick a phase: tail index, sparsity exponent,
-    aspect ratio, and dimension."""
-
-    alpha: float
-    mu: float
-    rho: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and positive: {self.alpha!r}")
-        if not (math.isfinite(self.mu) and 0.0 <= self.mu <= 1.0):
-            raise ValueError(f"mu must lie in [0, 1]: {self.mu!r}")
-        if not (math.isfinite(self.rho) and 0.0 < self.rho <= 1.0):
-            raise ValueError(f"rho must lie in (0, 1]: {self.rho!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer: {self.n!r}")
-        if self.p < 1:
-            raise ValueError(f"rho * n rounds to zero rows (rho={self.rho}, n={self.n})")
-
-    @property
-    def p(self) -> int:
-        return int(math.floor(self.rho * self.n + 0.5))
 
 
 def classify_regime(alpha: float, mu: float) -> str:

@@ -178,6 +178,25 @@ def test_spectrum_k_too_large(capsys):
     assert "error:" in err
 
 
+def test_spectrum_dense_refuses_k_beyond_the_dimension(tmp_path, capsys):
+    # The dense route computes the whole spectrum, so it serves any k up to
+    # the matrix's dimension, 50 or more, and refuses a larger one rather
+    # than print fewer values than asked.
+    sampled = ["spectrum", "--alpha", "1", "--mu", "1", "--n", "30", "--rho", "0.5"]
+    code, out, err = run(capsys, [*sampled, "--k", "20", "--solver", "dense"])
+    assert (code, out) == (1, "") and "exceeds the matrix's dimension 15" in err
+    code, out, _ = run(capsys, [*sampled, "--k", "15", "--solver", "dense"])
+    assert code == 0 and out.count("residual=") == 15
+    path = tmp_path / "m.csv"
+    sample = ["sample", "--alpha", "1", "--mu", "1", "--n", "60", "--out", str(path)]
+    assert run(capsys, sample)[0] == 0
+    loaded = ["spectrum", "--in", str(path), "--solver", "dense"]
+    code, out, err = run(capsys, [*loaded, "--k", "61"])
+    assert (code, out) == (1, "") and "exceeds the matrix's dimension 60" in err
+    code, out, _ = run(capsys, [*loaded, "--k", "60"])
+    assert code == 0 and out.count("residual=") == 60
+
+
 @pytest.mark.parametrize("solver", ["lanczos", "dense"])
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_spectrum_k_below_one_rejected(capsys, solver, k):

@@ -22,7 +22,7 @@ from htspec.experiments import (
     truncation_window,
     _map_replicates,
 )
-from htspec.limits import EDGE, POISSONIAN, RegimeParams
+from htspec.limits import EDGE, POISSONIAN
 from htspec.matrices import SparseMatrix, norms, top_entries
 from htspec.seeding import mix64
 from htspec.spectral import top_eigs
@@ -86,7 +86,7 @@ def edge_lanczos_run():
     # p = 48 lies above the lowered limit, so the edge run solves by Lanczos.
     cfg = edge_cfg()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "DENSE_DIM_LIMIT", cfg.regime.p - 1)
+        mp.setattr(experiments, "DENSE_DIM_LIMIT", cfg.ensemble(0).p - 1)
         return run_edge_experiment(cfg)
 
 
@@ -170,14 +170,43 @@ def test_rerun_is_bit_identical():
 
 
 def test_config_cross_checks():
-    with pytest.raises(ValueError):
-        make_config(alpha=1.0, mu=1.0, n=50, replicates=2, rho=0.5, shape="hermitian")
-    # alpha and mu are stored once, in the law and the mask
+    # alpha and mu are stored once, in the law and the mask, and replicate r
+    # samples the ensemble they describe, seeded by its replicate seed.
     law, sparsity = TailLaw(alpha=1.5), SparsitySpec.bernoulli(0.5)
-    cfg = ExperimentConfig(law=law, sparsity=sparsity, n=50, rho=0.5)
-    assert cfg.regime == RegimeParams(alpha=1.5, mu=0.5, rho=0.5, n=50)
-    with pytest.raises(ValueError):  # the regime is still validated
-        ExperimentConfig(law=law, sparsity=sparsity, n=0)
+    cfg = ExperimentConfig(law=law, sparsity=sparsity, n=50, rho=0.5, master_seed=7)
+    spec = cfg.ensemble(3)
+    assert spec == EnsembleSpec(
+        shape="rectangular", n=50, law=law, sparsity=sparsity,
+        seed=derive_replicate_seed(7, 3), rho=0.5,
+    )
+    assert spec.p == 25
+
+
+# Each bad ensemble and the message that refuses it.
+BAD_ENSEMBLES = {
+    "alpha=0": ({"alpha": 0.0}, "alpha must be finite and positive"),
+    "mu=1.5": ({"mu": 1.5}, "mu must lie in"),
+    "n=0": ({"n": 0}, "n must be a positive integer"),
+    "rho=0": ({"rho": 0.0}, "rho must lie in"),
+    "zero-rows": ({"n": 10, "rho": 0.04}, "rounds to zero rows"),
+    "hermitian-rho": ({"shape": "hermitian", "rho": 0.5}, "hermitian matrices are square"),
+    "unknown-shape": ({"shape": "square"}, "unknown shape"),
+    "seed=-1": ({"master_seed": -1}, "master seed must be an integer"),
+    "seed=2**64": ({"master_seed": 2 ** 64}, "master seed must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENSEMBLES))
+def test_config_refuses_a_bad_ensemble(case):
+    # A bad ensemble is refused when the config is built, before any
+    # replicate runs, by make_config and ExperimentConfig alike.
+    bad, message = BAD_ENSEMBLES[case]
+    fields = {"alpha": 1.0, "mu": 1.0, "n": 50, "replicates": 2, "top_k": 1, **bad}
+    with pytest.raises(ValueError, match=message):
+        make_config(**fields)
+    alpha, mu = fields.pop("alpha"), fields.pop("mu")
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(law=TailLaw(alpha=alpha), sparsity=SparsitySpec.bernoulli(mu), **fields)
 
 
 def test_config_bounds():
@@ -557,19 +586,19 @@ def test_replicates_follow_their_ensemble(run):
     # resampled matrix.
     kind, cfg, exercised = ENSEMBLE_RUNS[run]
     report = run_experiment(cfg, kind)
-    reg, k = cfg.regime, cfg.top_k
+    n, mu, rho, k = cfg.n, cfg.sparsity.mu, cfg.rho, cfg.top_k
     symmetric = cfg.shape == "hermitian"
     if symmetric:
-        power, edge_scale = 1, 2.0 * float(reg.n) ** (reg.mu / 2.0)
+        power, edge_scale = 1, 2.0 * float(n) ** (mu / 2.0)
         scale = report.aggregates["c_n"]
     else:
-        power, edge_scale = 2, (1.0 + math.sqrt(reg.rho)) ** 2 * float(reg.n) ** reg.mu
+        power, edge_scale = 2, (1.0 + math.sqrt(rho)) ** 2 * float(n) ** mu
         scale = report.aggregates["c_np"] ** 2 if kind == "poisson" else None
     negative_diagonal = invalid = 0
     for rec in report.records:
         m = sample_matrix(EnsembleSpec(
-            shape=cfg.shape, n=reg.n, law=cfg.law, sparsity=cfg.sparsity,
-            seed=derive_replicate_seed(cfg.master_seed, rec.r), rho=reg.rho,
+            shape=cfg.shape, n=n, law=cfg.law, sparsity=cfg.sparsity,
+            seed=derive_replicate_seed(cfg.master_seed, rec.r), rho=rho,
         ))
         assert m.symmetric == symmetric
         ranked = top_entries(m, k + 1)[0][:k]

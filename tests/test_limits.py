@@ -8,7 +8,6 @@ from htspec.limits import (
     CRITICAL,
     EDGE,
     POISSONIAN,
-    RegimeParams,
     c_n,
     c_np,
     classify_regime,
@@ -33,21 +32,6 @@ def test_classify_regime():
     assert classify_regime(6.01, 0.5) == EDGE
     # mu = 0: threshold infinite, everything is poissonian
     assert classify_regime(100.0, 0.0) == POISSONIAN
-
-
-def test_regime_params():
-    reg = RegimeParams(alpha=1.0, mu=1.0, rho=0.5, n=200)
-    assert reg.p == 100
-    with pytest.raises(ValueError):
-        RegimeParams(alpha=0.0, mu=1.0, rho=1.0, n=10)
-    with pytest.raises(ValueError):
-        RegimeParams(alpha=1.0, mu=1.5, rho=1.0, n=10)
-    with pytest.raises(ValueError):
-        RegimeParams(alpha=1.0, mu=1.0, rho=0.0, n=10)
-    with pytest.raises(ValueError):
-        RegimeParams(alpha=1.0, mu=1.0, rho=1.0, n=0)
-    with pytest.raises(ValueError):  # rho n rounds to zero rows
-        RegimeParams(alpha=1.0, mu=1.0, rho=0.04, n=10)
 
 
 def test_c_np_example():
