@@ -82,7 +82,7 @@ from .tails import (
 # it together with that read, when the harness next changes.
 WORKERS_ENV = "HTSPEC_WORKERS"
 # Bumped whenever report bytes change; reports without the field are version 1.
-REPORT_FORMAT_VERSION = 3
+REPORT_FORMAT_VERSION = 4
 
 # Localization sweep for delocalization checks: support sizes floor(p**beta).
 LOC_BETAS = (0.1, 0.2, 0.3, 0.4, 0.5)

@@ -13,16 +13,15 @@ second moment, so entries have mean zero and variance one; ``tail`` and
 ``quantile_abs`` then describe the rescaled variable.
 
 Matrices combine i.i.d. entries with a Bernoulli sparsity mask, which keeps
-each position independently with probability ``n**(mu - 1)``.  Every row
-draws its mask and its values from per-row streams derived with
-:func:`seeding.mix64` from the ensemble seed, so a sampled matrix is a pure
+each position independently with probability ``n**(mu - 1)``.  Every random
+word comes from :func:`seeding.mix64_array` at a counter key: row ``i`` walks
+its mask by geometric gaps, gap ``k`` keyed ``i << 32 | k``, and entry
+``(i, j)`` takes its value from the key ``i << 32 | j`` (Batagelj & Brandes,
+Phys. Rev. E 2005; Salmon et al., SC 2011).  So a sampled matrix is a pure
 function of its :class:`EnsembleSpec`: independent of traversal order,
 reproducible across processes, and the nonzero pattern does not change when
-only the entry law changes.  The sampler positions each row's streams with ``PCG64.advance`` to
-skip the draws no kept entry uses, builds no mask stream for a row that keeps
-every column (``mu = 1``), and inverts the quantile once over the whole
-matrix; the stream layout, and so every sampled matrix, is the same as when
-every stream is drawn in full, row by row.
+only the entry law changes.  Sampling costs O(nnz): no word is drawn for a
+position the mask drops.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .seeding import MASK64, mix64
+from .seeding import MASK64, mix64, mix64_array
 
 SV_CONSTANT = "constant"
 SV_LOG_POWER = "log_power"
@@ -44,6 +43,17 @@ HERMITIAN = "hermitian"
 # Stream tags inside one matrix draw; mask and values never share a stream.
 _TAG_MASK = 0
 _TAG_VALUE = 1
+# A key is ``i << 32 | k`` (mask gap k of row i) or ``i << 32 | j`` (entry
+# (i, j)), so every index, n itself included, must stay below 2**32.
+_KEY_BITS = 32
+# Gap slots that one block of rows draws at once; bounds the temporaries.
+_BLOCK_SLOTS = 1 << 16
+# Share of its slot budget (_slot_budget) that a row draws in its first batch
+# of gaps, and of the expected entry count that the output buffers first hold.
+# A row that runs out is topped up and a full buffer grows; gaps are keyed by
+# their index, so this sizes the batches but never changes the matrix.  At 0
+# every row takes the top-up rounds, and the buffers start empty and grow.
+_SLOT_SLACK = 1.0
 
 # log_power tails with beta > ~3.146 * alpha are not monotone near the
 # support edge; reject conservatively at 3 * alpha.
@@ -246,6 +256,8 @@ class EnsembleSpec:
             raise ValueError(f"unknown shape: {self.shape!r}")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer: {self.n!r}")
+        if self.n >= 1 << _KEY_BITS:
+            raise ValueError(f"n must be below 2**{_KEY_BITS}: {self.n!r}")
         if not (math.isfinite(self.rho) and 0.0 < self.rho <= 1.0):
             raise ValueError(f"rho must lie in (0, 1]: {self.rho!r}")
         if self.shape == HERMITIAN and self.rho != 1.0:
@@ -262,38 +274,98 @@ class EnsembleSpec:
         return int(math.floor(self.rho * self.n + 0.5))
 
 
-def _row_columns(sparsity: SparsitySpec, i: int, n: int, lo: int, mask_root: int) -> np.ndarray:
-    """Ascending mask columns of row ``i`` at or above column ``lo``.
+def _unit(z: np.ndarray) -> np.ndarray:
+    """Uniforms in (0, 1] from the top 53 bits of 64-bit words."""
+    u = (z >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
-    The row's mask stream holds one uniform per column, so the ``lo`` uniforms
-    before column ``lo`` are skipped with ``PCG64.advance``.  With
-    ``prob >= 1`` every column is kept, because uniforms lie in [0, 1), and no
-    stream is built.
+
+def _keys(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Counter keys ``row << 32 | index``."""
+    keys = rows.astype(np.uint64)
+    keys <<= np.uint64(_KEY_BITS)
+    keys |= index.astype(np.uint64)
+    return keys
+
+
+def _slot_budget(remaining: np.ndarray, prob: float) -> np.ndarray:
+    """Gap slots for a row with ``remaining`` columns left: about six standard
+    deviations above its mean kept count, plus the gap that ends the row, and
+    never more than the ``remaining + 1`` gaps that surely end it."""
+    mean = remaining * prob
+    return np.minimum((mean + 6.0 * np.sqrt(mean) + 8.0).astype(np.int64), remaining + 1)
+
+
+def _grow(a: np.ndarray, size: int) -> np.ndarray:
+    """``a``, or a copy at least twice as long when it holds fewer than
+    ``size`` elements."""
+    if size <= a.size:
+        return a
+    out = np.empty(max(size, 2 * a.size), dtype=a.dtype)
+    out[: a.size] = a
+    return out
+
+
+def _mask_columns(r0: int, lo: np.ndarray, budget: np.ndarray, n: int, prob: float, mask_root: int):
+    """Kept columns of rows ``r0, r0 + 1, ...``, each at or above its column
+    ``lo``.
+
+    Returns ``(owner, cols)``, ordered by row then column, where ``owner`` is
+    the row less ``r0``.  Row ``i`` walks geometric gaps from column ``lo - 1``;
+    gap ``k`` is ``floor(log u / log(1 - prob)) + 1`` with ``u`` the uniform of
+    ``mix64(mask_root, i << 32 | k)``, and the row ends at the first column
+    ``>= n``.  Gaps are drawn in batches: a row first draws ``_SLOT_SLACK``
+    times its ``budget``, and a row whose batch ends before column ``n - 1``
+    draws its next gaps in a top-up round.
     """
-    prob = float(n) ** (sparsity.mu - 1.0)
-    if prob >= 1.0:
-        return np.arange(lo, n)
-    bitgen = np.random.PCG64(mix64(mask_root, i))
-    bitgen.advance(lo)
-    return lo + np.nonzero(np.random.Generator(bitgen).random(n - lo) < prob)[0]
+    log_skip = math.log1p(-prob)
+    last = lo - 1  # last column reached
+    drawn = np.zeros(lo.size, dtype=np.int64)  # gaps drawn
+    live = np.arange(lo.size)
+    slots = (_SLOT_SLACK * budget).astype(np.int64)
+    owner_parts, col_parts = [], []
+    while live.size:
+        owner = np.repeat(live, slots)
+        starts = np.cumsum(slots) - slots
+        local_k = np.arange(owner.size) - np.repeat(starts, slots)
+        z = mix64_array(mask_root, _keys(owner + r0, local_k + drawn[owner]))
+        # Clipping a gap at n + 1 still ends its row, and keeps the sums small.
+        gaps = (np.minimum(np.floor(np.log(_unit(z)) / log_skip), n) + 1.0).astype(np.int64)
+        reach = np.cumsum(gaps)
+        cols = last[owner] + reach - np.repeat(np.concatenate([[0], reach])[starts], slots)
+        kept = cols < n
+        owner_parts.append(owner[kept])
+        col_parts.append(cols[kept])
+        has = slots > 0
+        last[live[has]] = cols[(starts + slots - 1)[has]]
+        drawn[live] += slots
+        live = live[last[live] < n - 1]
+        slots = _slot_budget(n - 1 - last[live], prob)
+    owner, cols = np.concatenate(owner_parts), np.concatenate(col_parts)
+    if len(owner_parts) > 1:
+        # Top-up rounds come after the first batch; a row's columns stay ascending.
+        order = np.argsort(owner, kind="stable")
+        owner, cols = owner[order], cols[order]
+    return owner, cols
 
 
 def sample_matrix(spec: EnsembleSpec):
     """Sample the sparse matrix described by ``spec``.
 
-    Row ``i`` derives a mask stream and a value stream from the ensemble seed via
-    ``mix64``.  The mask stream holds one uniform per column.  The value
-    stream holds ``n`` magnitude uniforms then ``n`` sign uniforms, and only the
-    masked positions are kept.  The entry at ``(i, j)`` therefore depends only
-    on ``(seed, i, j)``, and the mask only on ``(seed, mu, i, j)``.
-
-    Uniforms that no kept entry uses are not generated: each float64 draw takes
-    one 64-bit PCG64 output, so ``PCG64.advance`` skips the columns below a
-    hermitian row's diagonal in its mask stream and, in each half of the value
-    stream, the columns outside the row's first and last kept column.  A row
-    that keeps every column (``mu = 1``) builds no mask stream, and a row with
-    no entries builds no value stream.  The result is bit-identical to drawing
-    every stream in full.
+    The mask and the values come from two roots derived from the ensemble
+    seed with ``mix64``.  Row ``i`` keeps the columns of its geometric gap walk
+    (``_mask_columns``, keys ``i << 32 | k``); a hermitian row starts at its
+    diagonal, a rectangular one at column 0, and a row with keep probability
+    1 (``mu = 1``) keeps every column and draws no gap.  Entry ``(i, j)``
+    takes ``z = mix64(value_root, i << 32 | j)``: the top 53 bits give the
+    magnitude's uniform ``u`` in (0, 1], inverted through the tail, and the low
+    bit the sign.  The entry at ``(i, j)`` therefore depends only on
+    ``(seed, i, j)``, and the mask of row ``i`` only on ``(seed, mu, n, i)``,
+    so fewer rows are a prefix.  Rows are drawn in blocks of about
+    ``_BLOCK_SLOTS`` gap slots, so the temporaries stay small beside the
+    output.
     """
     # Imported here: matrices.py needs no sampling machinery.
     from .matrices import SparseMatrix
@@ -303,36 +375,40 @@ def sample_matrix(spec: EnsembleSpec):
     hermitian = spec.shape == HERMITIAN
     mask_root = mix64(spec.seed, _TAG_MASK)
     value_root = mix64(spec.seed, _TAG_VALUE)
+    prob = float(n) ** (sparsity.mu - 1.0)
+    sigma = _sigma(law)
 
+    lo = np.arange(p, dtype=np.int64) if hermitian else np.zeros(p, dtype=np.int64)
+    # Slots a row draws: its kept columns at prob = 1, else its gap budget.
+    budget = n - lo if prob >= 1.0 else _slot_budget(n - lo, prob)
+    block_ends = np.cumsum(budget)
     counts = np.zeros(p, dtype=np.int64)
-    col_parts = [np.empty(0, dtype=np.int64)]
-    mag_parts = [np.empty(0)]
-    sign_parts = [np.empty(0)]
-    for i in range(p):
-        cols = _row_columns(sparsity, i, n, i if hermitian else 0, mask_root)
-        if cols.size == 0:
-            continue
-        first = int(cols[0])
-        span = int(cols[-1]) - first + 1
-        bitgen = np.random.PCG64(mix64(value_root, i))
-        value_rng = np.random.Generator(bitgen)
-        bitgen.advance(first)
-        u_mag = value_rng.random(span)
-        bitgen.advance(n - span)
-        u_sign = value_rng.random(span)
-        counts[i] = cols.size
-        col_parts.append(cols)
-        offsets = cols - first
-        mag_parts.append(u_mag[offsets])
-        sign_parts.append(u_sign[offsets])
-
-    cols = np.concatenate(col_parts)
-    u_mag, u_sign = np.concatenate(mag_parts), np.concatenate(sign_parts)
-    # Free the per-row pieces before the quantile's and the CSR's temporaries.
-    del col_parts, mag_parts, sign_parts
-    # _quantile_raw is elementwise, so one call over all rows equals one per row.
-    data = np.where(u_sign < 0.5, 1.0, -1.0) * (_quantile_raw(law, 1.0 - u_mag) / _sigma(law))
-    del u_mag, u_sign
+    # Output buffers that hold all but rare draws, and every position at prob = 1.
+    size = int(_SLOT_SLACK * _slot_budget(np.sum(n - lo), min(prob, 1.0)))
+    cols, data = np.empty(size, dtype=np.int64), np.empty(size)
+    nnz = 0
+    r0 = 0
+    while r0 < p:
+        reached = block_ends[r0 - 1] if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(block_ends, reached + _BLOCK_SLOTS, side="right")))
+        if prob >= 1.0:
+            width = budget[r0:r1]
+            owner = np.repeat(np.arange(r1 - r0), width)
+            block_cols = np.arange(owner.size) - np.repeat(np.cumsum(width) - width - lo[r0:r1], width)
+            counts[r0:r1] = width
+        else:
+            owner, block_cols = _mask_columns(r0, lo[r0:r1], budget[r0:r1], n, prob, mask_root)
+            counts[r0:r1] = np.bincount(owner, minlength=r1 - r0)
+        z = mix64_array(value_root, _keys(owner + r0, block_cols))
+        end = nnz + owner.size
+        cols, data = _grow(cols, end), _grow(data, end)
+        cols[nnz:end] = block_cols
+        np.divide(_quantile_raw(law, _unit(z)), sigma, out=data[nnz:end])
+        # Magnitudes are positive: the low bit of z becomes the sign bit.
+        signs = data[nnz:end].view(np.uint64)
+        signs ^= z << np.uint64(63)
+        nnz, r0 = end, r1
+    cols, data = cols[:nnz], data[:nnz]
 
     if hermitian:
         rows = np.repeat(np.arange(p, dtype=np.int64), counts)

@@ -94,6 +94,20 @@ def test_sample_rejects_bad_law(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["sample", "spectrum"])
+def test_n_beyond_the_sampler_keys_is_refused(capsys, monkeypatch, command):
+    # A key packs an index into 32 bits, so n = 2**32 is refused when the
+    # ensemble is built, before the sampler allocates anything.
+    def never(spec):
+        raise AssertionError("sample_matrix called")
+
+    monkeypatch.setattr(cli, "sample_matrix", never)
+    code, out, err = run(capsys, [command, "--alpha", "1", "--mu", "0.2", "--n", "4294967296"])
+    assert code == 1
+    assert "n must be below 2**32" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from htspec.seeding import mix64
+from htspec.seeding import mix64, mix64_array
 
 
 def test_deterministic():
@@ -61,3 +61,11 @@ def test_validation():
 def test_usable_as_generator_seed():
     rng = np.random.Generator(np.random.PCG64(mix64(7, 3)))
     assert rng.random() == np.random.Generator(np.random.PCG64(mix64(7, 3))).random()
+
+
+def test_array_form_matches_scalar_at_edge_keys():
+    keys = [0, 1, 2**32 - 1, 2**32, (2**32 - 1) << 32, 2**64 - 2, 2**64 - 1]
+    for master in (0, 1, 2**63, 2**64 - 1):
+        got = mix64_array(master, np.array(keys, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [mix64(master, k) for k in keys]

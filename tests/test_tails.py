@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.sparse import coo_matrix
+from scipy.stats import kstest
 
 import htspec
 from htspec.experiments import REPORT_FORMAT_VERSION
+from htspec import tails
 from htspec.matrices import SparseMatrix
 from htspec.seeding import mix64
 from htspec.tails import (
@@ -232,6 +234,45 @@ def test_row_counts_near_binomial(bernoulli_mu_half):
     assert counts.var() == pytest.approx(10_000 * prob * (1 - prob), rel=0.1)
 
 
+def _max_entry_cdf(spec, t):
+    """Exact law of the largest entry magnitude: ``(1 - q G(t))^positions``
+    over the ``p n`` (rectangular) or ``n (n + 1) / 2`` (hermitian)
+    independent positions, each kept with probability ``q = n^(mu - 1)``."""
+    n = spec.n
+    positions = n * (n + 1) // 2 if spec.shape == "hermitian" else spec.p * n
+    q = float(n) ** (spec.sparsity.mu - 1.0)
+    return np.exp(positions * np.log1p(-q * tail(spec.law, np.asarray(t, dtype=np.float64))))
+
+
+@pytest.mark.parametrize("shape, law, mu, n, rho", [
+    ("rectangular", TailLaw(alpha=1.0), 0.5, 1000, 0.5),
+    ("hermitian", TailLaw(alpha=3.0, standardize=True), 0.4, 800, 1.0),
+])
+def test_top_entry_follows_the_exact_max_law(shape, law, mu, n, rho):
+    count = 200
+    tops = [
+        np.abs(sample_matrix(EnsembleSpec(
+            shape=shape, n=n, law=law, sparsity=SparsitySpec.bernoulli(mu), seed=seed, rho=rho,
+        )).values).max()
+        for seed in range(count)
+    ]
+    spec = EnsembleSpec(shape=shape, n=n, law=law, sparsity=SparsitySpec.bernoulli(mu), seed=0, rho=rho)
+    ks = kstest(tops, lambda t: _max_entry_cdf(spec, t)).statistic
+    assert ks <= 1.36 / math.sqrt(count)
+
+
+def test_large_sparse_hermitian_nnz_near_binomial():
+    n, mu = 20_000, 0.3
+    m = sample_matrix(EnsembleSpec(
+        shape="hermitian", n=n, law=TailLaw(alpha=1.0), sparsity=SparsitySpec.bernoulli(mu), seed=7,
+    ))
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    upper = int(np.count_nonzero(m.indices >= rows))
+    positions = n * (n + 1) // 2
+    q = n ** (mu - 1.0)
+    assert abs(upper - positions * q) <= 4 * math.sqrt(positions * q * (1 - q))
+
+
 def test_matrix_deterministic():
     law = TailLaw(alpha=1.0)
     spec = EnsembleSpec(
@@ -313,44 +354,46 @@ def test_hermitian_rejects_rho():
 
 
 # ---------------------------------------------------------------------------
-# oracle: the sampler as a plain per-row loop that draws every stream in full
+# oracle: the sampler as a plain per-row loop over scalar mix64 words
 
 
-def _reference_mask_columns(sparsity, n, rng):
-    prob = float(n) ** (sparsity.mu - 1.0)
-    return np.nonzero(rng.random(n) < prob)[0]
+def _reference_unit(z):
+    return (float(z >> 11) + 0.5) * 2.0 ** -53
+
+
+def _reference_columns(i, lo, n, prob, mask_root):
+    """Row i's kept columns from ``lo`` on: one geometric gap per scalar word."""
+    if prob >= 1.0:
+        return list(range(lo, n))
+    log_skip = math.log1p(-prob)
+    cols, col, k = [], lo - 1, 0
+    while True:
+        u = _reference_unit(mix64(mask_root, i << 32 | k))
+        col += math.floor(np.log(u) / log_skip) + 1
+        k += 1
+        if col >= n:
+            return cols
+        cols.append(col)
 
 
 def _reference_sample_matrix(spec):
-    law, sparsity = spec.law, spec.sparsity
-    n, p = spec.n, spec.p
+    law, n, p = spec.law, spec.n, spec.p
     hermitian = spec.shape == "hermitian"
+    prob = float(n) ** (spec.sparsity.mu - 1.0)
     mask_root = mix64(spec.seed, _TAG_MASK)
     value_root = mix64(spec.seed, _TAG_VALUE)
-    row_idx, col_idx, vals = [], [], []
+    rows, cols, u_mag, signs = [], [], [], []
     for i in range(p):
-        mask_rng = np.random.Generator(np.random.PCG64(mix64(mask_root, i)))
-        cols = _reference_mask_columns(sparsity, n, mask_rng)
-        if hermitian:
-            cols = cols[cols >= i]
-        value_rng = np.random.Generator(np.random.PCG64(mix64(value_root, i)))
-        u_mag = value_rng.random(n)
-        u_sign = value_rng.random(n)
-        if cols.size == 0:
-            continue
-        mags = _quantile_raw(law, 1.0 - u_mag[cols]) / _sigma(law)
-        signs = np.where(u_sign[cols] < 0.5, 1.0, -1.0)
-        row_idx.append(np.full(cols.size, i, dtype=np.int64))
-        col_idx.append(cols.astype(np.int64))
-        vals.append(signs * mags)
-    if row_idx:
-        rows = np.concatenate(row_idx)
-        cols = np.concatenate(col_idx)
-        data = np.concatenate(vals)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        data = np.empty(0, dtype=np.float64)
+        for j in _reference_columns(i, i if hermitian else 0, n, prob, mask_root):
+            z = mix64(value_root, i << 32 | j)
+            rows.append(i)
+            cols.append(j)
+            u_mag.append(_reference_unit(z))
+            signs.append(-1.0 if z & 1 else 1.0)
+    rows = np.array(rows, dtype=np.int64)
+    cols = np.array(cols, dtype=np.int64)
+    # _quantile_raw is elementwise: one call over every entry's uniform.
+    data = np.array(signs) * (_quantile_raw(law, np.array(u_mag, dtype=np.float64)) / _sigma(law))
     if hermitian:
         off = rows != cols
         rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
@@ -394,6 +437,10 @@ def _spec(shape, n, sparsity, seed=3, law=ORACLE_LAWS[0], rho=1.0):
 @example(_spec("hermitian", 30, SparsitySpec.bernoulli(0.0), law=ORACLE_LAWS[4]))
 @example(_spec("hermitian", 40, SparsitySpec.bernoulli(1.0), law=ORACLE_LAWS[1], seed=2**64 - 1))
 def test_sample_matrix_matches_reference_loop(spec):
+    assert_matches_reference(spec)
+
+
+def assert_matches_reference(spec):
     got = sample_matrix(spec)
     want = _reference_sample_matrix(spec)
     assert (got.rows, got.cols, got.symmetric) == (want.rows, want.cols, want.symmetric)
@@ -401,6 +448,23 @@ def test_sample_matrix_matches_reference_loop(spec):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("block_slots", [1, 1 << 16])
+@pytest.mark.parametrize("spec", [
+    _spec("rectangular", 40, SparsitySpec.bernoulli(0.3), seed=5, rho=0.5),
+    _spec("rectangular", 40, SparsitySpec.bernoulli(0.0), seed=6, law=ORACLE_LAWS[2]),
+    _spec("rectangular", 40, SparsitySpec.bernoulli(0.95), seed=7, law=ORACLE_LAWS[4]),
+    _spec("hermitian", 40, SparsitySpec.bernoulli(0.5), seed=8, law=ORACLE_LAWS[1]),
+    _spec("hermitian", 40, SparsitySpec.bernoulli(1.0), seed=9),
+], ids=["rect-0.3", "rect-0", "rect-0.95", "herm-0.5", "herm-1"])
+def test_sample_matrix_matches_reference_with_no_slot_slack(monkeypatch, spec, block_slots):
+    # With no slack a row's first batch has no gap slot, so every row draws its
+    # gaps in top-up rounds, and the output buffers start empty and grow; one
+    # slot a block puts every row in its own block.
+    monkeypatch.setattr(tails, "_SLOT_SLACK", 0.0)
+    monkeypatch.setattr(tails, "_BLOCK_SLOTS", block_slots)
+    assert_matches_reference(spec)
 
 
 @settings(max_examples=100, deadline=None)
@@ -419,16 +483,19 @@ def test_sample_matrix_rows_are_a_prefix(spec):
 # sha256 of the indptr, indices and values of three fixed draws, keyed by report
 # format version.  A change to the sampled streams must bump
 # REPORT_FORMAT_VERSION and add its digest here; the streams did not change
-# between versions 2 and 3.
+# between versions 2 and 3, and version 4 draws counter-keyed gaps and values.
 STREAM_DIGESTS = {
     2: "58e29e1769ad5593b03c2d9556f43ad2a27f99f7b7ecb0dc2229b696ffe33c4e",
     3: "58e29e1769ad5593b03c2d9556f43ad2a27f99f7b7ecb0dc2229b696ffe33c4e",
+    4: "2e43f9cb01e9e7ca3010e620312e14314813c8b7bfe6e404cf758d964c494018",
 }
 
 
 def test_sampled_streams_are_pinned_to_the_report_format_version():
-    # At alpha = 1 the quantile is 1/u, so the bytes do not depend on the
-    # platform's pow; index arrays are hashed as int64 whatever scipy stores.
+    # At alpha = 1 the quantile is 1/u, so the values do not depend on the
+    # platform's pow (a mask gap goes through log, but a last-bit difference
+    # there moves a gap only when its ratio lands on an integer); index arrays
+    # are hashed as int64 whatever scipy stores.
     digest = hashlib.sha256()
     for shape, mu in (("rectangular", 0.5), ("hermitian", 0.5), ("rectangular", 1.0)):
         m = sample_matrix(_spec(shape, 64, SparsitySpec.bernoulli(mu), seed=7))
